@@ -450,6 +450,7 @@ def _build_parser():
 
 
 def main(argv=None):
+    saved_limit = os.environ.get(gf.LIMIT_ENV_VAR)
     try:
         args = _build_parser().parse_args(argv)
         if args.command is None:
@@ -476,6 +477,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if saved_limit is None:
+            os.environ.pop(gf.LIMIT_ENV_VAR, None)
+        else:
+            os.environ[gf.LIMIT_ENV_VAR] = saved_limit
 
 
 if __name__ == "__main__":

@@ -446,7 +446,7 @@ def _factorize(m):
     return factors
 
 
-def _generator(ctx):
+def generator(ctx):
     """Canonically smallest generator of the unit group."""
     if ctx._generator is not None:
         return ctx._generator
@@ -467,7 +467,7 @@ def _dlog(e):
     ctx = e.ctx
     if e.is_zero():
         raise ZeroDivisionError(f"discrete log of zero in {ctx}")
-    g = _generator(ctx)
+    g = generator(ctx)
     qm1 = ctx.q - 1
     if qm1 == 1:
         return 0
@@ -501,7 +501,7 @@ def nth_roots(e, m):
     qm1 = ctx.q - 1
     if qm1 == 1:
         return [ctx.one]
-    g = _generator(ctx)
+    g = generator(ctx)
     k = _dlog(e)
     d = math.gcd(m, qm1)
     if k % d != 0:

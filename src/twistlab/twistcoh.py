@@ -14,7 +14,7 @@ Phi * Fr(Phi) * ... * Fr^{j-1}(Phi); the cocycle identity
 v(j+k) = v(j) * Fr^j(v(k)) holds and is exercised by the tests.
 """
 
-from . import autmap
+from . import autmap, gf
 
 
 class FrobAction:
@@ -138,6 +138,8 @@ def frobenius_action(G, base):
     """The q-power Frobenius of `base` as a permutation of G's elements."""
     if base.p != G.field.p or G.field.n % base.n != 0:
         raise ValueError(f"{G.field} does not extend {base}")
+    if any(gf.frobenius(a, base.n) != a for a in G.curve.coefficients):
+        raise ValueError("curves are not defined over the declared base field")
     perm = []
     for f in G.elements:
         k = G.index_of(autmap.galois_apply(f, base))

@@ -55,9 +55,9 @@ class TwistReport:
 def _short_grid(E, base):
     """Candidate curves over `base` sharing j(E), in canonical scan order.
 
-    Yields the short-form family fitting (p, j) first, then falls back to
-    the full long-form grid; duplicates across the two phases are fine
-    since the consumer tracks isomorphism classes.
+    Yields the short-form family fitting (p, j).  reduction_isomorphism
+    carries every smooth curve over `base` into that family over `base`
+    itself, so the family meets every twist class of E.
     """
     p = base.p
     j = gf.subfield_embed(E.j_invariant(), base)
@@ -95,13 +95,6 @@ def _short_grid(E, base):
             for a4 in nonzero:
                 for a6 in nonzero:
                     yield WeierstrassCurve(base, zero, zero, zero, a4, a6)
-    # long-form fallback; only reachable if the short family missed a class
-    for a1 in elements:
-        for a2 in elements:
-            for a3 in elements:
-                for a4 in elements:
-                    for a6 in elements:
-                        yield WeierstrassCurve(base, a1, a2, a3, a4, a6)
 
 
 def _label_class(E, T, base, group, g_classes, max_split_degree):
@@ -275,7 +268,7 @@ def j_zero_class_representatives(base):
         raise ValueError("census implemented for characteristic 2 and 3")
     elements = gf.enumerate_field(base)
     basis = [base.gen() ** i for i in range(base.n)]
-    g = elements[1] if base.q == 2 else _primitive_element(base)
+    g = gf.generator(base)
     zero = base.zero
     reps = []
     seen = set()
@@ -326,18 +319,6 @@ def j_zero_class_representatives(base):
 def j_zero_class_census(base):
     """Number of base-isomorphism classes of smooth j = 0 curves over base."""
     return len(j_zero_class_representatives(base))
-
-
-def _primitive_element(base):
-    for e in gf.enumerate_field(base)[1:]:
-        order = 1
-        cur = e
-        while cur != base.one:
-            cur = cur * e
-            order += 1
-        if order == base.q - 1:
-            return e
-    raise RuntimeError("no primitive element found")
 
 
 class LineItem:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from twistlab import autmap, gf
+from twistlab import autmap, gf, twists
 from twistlab.curve import WeierstrassCurve, from_short
 
 F2 = gf.field_create(2)
@@ -17,6 +17,25 @@ F27 = gf.field_create(3, 3)
 
 E3 = WeierstrassCurve(F3, 0, 0, 0, -1, 0)   # y^2 = x^3 - x
 E2 = WeierstrassCurve(F2, 0, 0, 1, 0, 0)    # y^2 + y = x^3
+
+
+# every prime power q <= 81, as (p, n)
+FIELDS_TO_81 = [
+    (p, n)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71, 73, 79)
+    for n in range(1, 7)
+    if p ** n <= 81
+]
+
+
+def _assert_maps_points(iso):
+    """iso carries the source points bijectively onto the target points."""
+    source = iso.source.enumerate_points()
+    target = iso.target.enumerate_points()
+    images = {iso.apply(pt) for pt in source}
+    assert len(source) == len(target) == len(images)
+    assert images == set(target)
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +62,9 @@ def test_transform_coefficients_round_trip():
 def test_isomorphism_maps_points_bijectively():
     iso = autmap.find_isomorphisms(
         E3, WeierstrassCurve(F3, 0, 0, 0, 1, 0), F9)[0]
-    src = iso.source.enumerate_points()
-    dst = set()
-    for pt in src:
-        image = iso.apply(pt)
-        assert iso.target.contains(image)
-        dst.add(image if image is None else (image[0].canon, image[1].canon))
-    assert len(dst) == len(src)
+    _assert_maps_points(iso)
+    assert all(iso.target.contains(iso.apply(pt))
+               for pt in iso.source.enumerate_points())
     assert iso.apply(None) is None
 
 
@@ -272,3 +287,87 @@ def test_aut_group_lookup(G24):
 def test_minimal_degree_limit():
     with pytest.raises(ValueError):
         autmap.minimal_isomorphism_degree(E3, E3, 0)
+
+
+def test_stalled_degree_search_reaches_full_group():
+    # Aut has 4 elements over GF(2^3), GF(2^6) and GF(2^9), all 24 over GF(2^12)
+    c = gf.element_from_str("2^3:1,1,1", F8)
+    G = autmap.automorphism_group(WeierstrassCurve(F8, 0, 0, 1, c, c))
+    assert G.order == 24
+    assert (G.field.p, G.field.n) == (2, 12)
+
+
+def test_group_elements_map_points(G12, G24):
+    for G, bases, extensions in (
+        (G12, (F3, F9), (gf.field_create(3, 4),)),
+        (G24, (F2, F4), (F16, gf.field_create(2, 6))),
+    ):
+        for g in G.elements:
+            _assert_maps_points(g)
+            _assert_maps_points(autmap.invert(g))
+            for base in bases:
+                _assert_maps_points(autmap.galois_apply(g, base))
+            for field in extensions:
+                _assert_maps_points(autmap.embed_isomorphism(g, field))
+
+
+def test_compose_maps_points(G12, G24):
+    for G in (G12, G24):
+        points = G.elements[0].source.enumerate_points()
+        for f in G.elements:
+            for g in G.elements:
+                fg = autmap.compose(f, g)
+                _assert_maps_points(fg)
+                assert all(fg.apply(pt) == f.apply(g.apply(pt)) for pt in points)
+
+
+def _model_and_twists(k):
+    """(curve, twists over k) for j = 0, j = 1728 when p >= 5, and a generic j."""
+    g = gf.generator(k)
+    units = [g ** i for i in range(7)]
+    if k.p == 2:
+        E0 = WeierstrassCurve(k, 0, 0, 1, 0, 0)
+        E1 = WeierstrassCurve(k, 1, 0, 0, 0, 1)
+        return [
+            (E0, [WeierstrassCurve(k, 0, 0, a3, a4, a6)
+                  for a3 in (1, g) for a4 in (0, g) for a6 in (0, 1)]),
+            (E1, [twists.artin_schreier_twist(E1, d) for d in (0, 1, g)]),
+        ]
+    if k.p == 3:
+        E0 = WeierstrassCurve(k, 0, 0, 0, -1, 0)
+        E1 = WeierstrassCurve(k, 0, 1, 0, 0, -1)
+        return [
+            (E0, [WeierstrassCurve(k, 0, 0, 0, a4, a6)
+                  for a4 in units[:4] for a6 in (0, 1)]),
+            (E1, [twists.quadratic_twist(E1, d) for d in units[:3]]),
+        ]
+    E0 = from_short(k, 0, 1)
+    E1728 = from_short(k, 1, 0)
+    E = next(C for C in (from_short(k, 1, b) for b in range(1, k.p))
+             if C.is_smooth())
+    return [
+        (E0, [twists.unit_twist(E0, m) for m in units]),
+        (E1728, [from_short(k, m, 0) for m in units[:5]]),
+        (E, [twists.quadratic_twist(E, d) for d in units[:3]]),
+    ]
+
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_81)
+def test_reduction_and_twist_isomorphisms_map_points(p, n):
+    K = gf.field_create(p, n)
+    g = gf.generator(K)
+    for E, _ in _model_and_twists(K):
+        # a long model of E, then its reduction back to the short family
+        u, r, s, t = g, g + 1, g * g, K.one
+        L = WeierstrassCurve(K, *autmap.transform_coefficients(E.coefficients, u, r, s, t))
+        _assert_maps_points(autmap.CurveIsomorphism(K, E, L, u, r, s, t))
+        _assert_maps_points(autmap.reduction_isomorphism(L))
+    # twists over the prime field, and over GF(p^2) when it lies in K,
+    # mapped over K
+    for d in (1, 2):
+        if n % d:
+            continue
+        for E, curves in _model_and_twists(gf.field_create(p, d)):
+            for T in curves:
+                for iso in autmap.find_isomorphisms(E, T, K):
+                    _assert_maps_points(iso)

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, and the repro harness."""
 
 import json
+import os
 
 import pytest
 
@@ -140,6 +141,19 @@ def test_census(capsys):
     assert rc == 0 and doc["count"] == 6
     rc, doc = run_json(["census", "--p", "2", "--n", "2"], capsys)
     assert rc == 0 and doc["count"] == 7
+
+
+@pytest.mark.parametrize("preset", [None, "5000"])
+def test_limit_flag_leaves_environment_unchanged(monkeypatch, capsys, preset):
+    if preset is None:
+        monkeypatch.delenv(gf.LIMIT_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(gf.LIMIT_ENV_VAR, preset)
+    for argv, code in ((["census", "--p", "2", "--n", "1"], 0),
+                       (["census", "--p", "3", "--n", "3"], 2)):
+        rc, _ = run(argv + ["--limit", "100"], capsys)
+        assert rc == code
+        assert os.environ.get(gf.LIMIT_ENV_VAR) == preset
 
 
 def test_census_respects_field_limit(monkeypatch, capsys):

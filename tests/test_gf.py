@@ -112,6 +112,20 @@ def test_moduli_are_frozen():
         assert gf.field_create(p, n).modulus == mod
 
 
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_generator_is_smallest_primitive_element(p, n):
+    ctx = gf.field_create(p, n)
+
+    def order(e):
+        k, cur = 1, e
+        while cur != ctx.one:
+            cur, k = cur * e, k + 1
+        return k
+
+    primitive = [e for e in gf.enumerate_field(ctx)[1:] if order(e) == ctx.q - 1]
+    assert gf.generator(ctx) == primitive[0]
+
+
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (3, 3), (5, 2)])
 def test_frobenius(p, n):
     ctx = gf.field_create(p, n)

@@ -61,6 +61,14 @@ def test_action_rejects_non_automorphism_permutation(G12):
         twistcoh.FrobAction(G12, F3, tuple(ident))
 
 
+def test_action_rejects_curve_off_base():
+    # a4 is the basis generator of GF(9), which GF(3) does not contain
+    G = autmap.automorphism_group(WeierstrassCurve(F9, 0, 0, 0, F9.gen(), 0))
+    with pytest.raises(ValueError, match="not defined over"):
+        twistcoh.frobenius_action(G, F3)
+    assert twistcoh.frobenius_action(G, F9).order == 1
+
+
 def test_corrupted_cayley_table_is_detected(G12):
     # corrupt one product in the row of an element Frobenius moves; the
     # equivariance check against the broken table must then fail
