@@ -345,26 +345,28 @@ def exhaustive_isomorphisms(E1, E2, field):
     return out
 
 
+def first_isomorphism_degree(E1, E2, degrees):
+    """First d in `degrees` with an isomorphism E1 -> E2 over degree d.
+
+    Returns (d, those isomorphisms), or (None, []) when no listed degree
+    has any.  Extension sizes are checked against the splitting-search limit.
+    """
+    for d in degrees:
+        ext = gf.field_create(E1.ctx.p, E1.ctx.n * d, limit=gf.split_limit())
+        isos = find_isomorphisms(E1, E2, ext)
+        if isos:
+            return d, isos
+    return None, []
+
+
 def minimal_isomorphism_degree(E1, E2, max_degree):
     """Least d <= max_degree with isomorphisms over the degree-d extension.
 
-    Returns None when no such degree exists within the bound.  Extension
-    sizes are checked against the splitting-search limit.
+    Returns None when no such degree exists within the bound.
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError(f"max_degree must be a positive integer, got {max_degree}")
-    if E1.ctx != E2.ctx:
-        raise ValueError("curves must share a base field")
-    limit = gf.split_limit()
-    for d in range(1, max_degree + 1):
-        if E1.ctx.q ** d > limit:
-            raise gf.LimitExceededError(
-                f"degree-{d} extension of {E1.ctx} exceeds the splitting limit {limit}"
-            )
-        ext = gf.field_create(E1.ctx.p, E1.ctx.n * d, limit=limit)
-        if find_isomorphisms(E1, E2, ext):
-            return d
-    return None
+    return first_isomorphism_degree(E1, E2, range(1, max_degree + 1))[0]
 
 
 # ---------------------------------------------------------------------------

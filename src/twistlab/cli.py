@@ -7,7 +7,7 @@ expected tables.  Output is a flat key = value text rendering or JSON
 with stable key order; both carry the same data.
 
 Exit codes: 0 success, 1 usage error, 2 computation limit exceeded,
-3 verification failure.
+3 verification failure, 4 internal error (one line on stderr).
 """
 
 import argparse
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LIMIT = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -33,14 +34,11 @@ class RunConfig:
 
     __slots__ = (
         "p", "n", "curve_literal", "short_literal", "subgroup",
-        "max_split_degree", "field_size_limit", "output",
+        "field_size_limit", "output",
     )
 
     def __init__(self, p=None, n=1, curve_literal=None, short_literal=None,
-                 subgroup=None, max_split_degree=24, field_size_limit=None,
-                 output="text"):
-        if max_split_degree < 1:
-            raise UsageError("--max-split-degree must be positive")
+                 subgroup=None, field_size_limit=None, output="text"):
         if field_size_limit is not None and field_size_limit < 2:
             raise UsageError("--limit must be at least 2")
         self.p = p
@@ -48,7 +46,6 @@ class RunConfig:
         self.curve_literal = curve_literal
         self.short_literal = short_literal
         self.subgroup = subgroup
-        self.max_split_degree = max_split_degree
         self.field_size_limit = field_size_limit
         self.output = output
 
@@ -174,7 +171,7 @@ def cmd_automorphisms(cfg):
 def cmd_twists(cfg):
     """All twist classes of the curve with equations, labels, and counts."""
     E = _build_curve(cfg)
-    report = twists.enumerate_twists(E, E.ctx, cfg.max_split_degree)
+    report = twists.enumerate_twists(E, E.ctx)
     data = twists.twist_report_json(report)
     counts = twists.point_count_table(report)
     data["point_counts_distinct"] = counts["all_distinct"]
@@ -441,8 +438,6 @@ def _build_parser():
         if name == "h1":
             p.add_argument("--subgroup",
                            help="trivial, full, minus-one, C<k>, or (u,r,s,t)@p^m")
-        if name == "twists":
-            p.add_argument("--max-split-degree", type=int, default=24)
         p.add_argument("--limit", type=int,
                        help="field size limit (env TWISTLAB_LIMIT)")
         p.add_argument("--json", action="store_true")
@@ -461,7 +456,6 @@ def main(argv=None):
             curve_literal=getattr(args, "curve", None),
             short_literal=getattr(args, "short", None),
             subgroup=getattr(args, "subgroup", None),
-            max_split_degree=getattr(args, "max_split_degree", 24),
             field_size_limit=args.limit,
             output="json" if args.json else "text",
         )
@@ -477,6 +471,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if saved_limit is None:
             os.environ.pop(gf.LIMIT_ENV_VAR, None)

@@ -238,9 +238,9 @@ def splitting_degree(c, max=None):
 
     Unlike the raw cocycle order this is constant on twisted classes: a
     class member that is itself a twisted coboundary has degree 1 even
-    when its telescoped values first return to the identity later.  On
-    canonical class representatives the two notions agree for every group
-    and base exercised here, which the tests pin down.
+    when its telescoped values first return to the identity later.  Class
+    representatives differ too: for y^2 = x^3 + 2x + 1 over GF(3), element
+    2 represents a class of splitting degree 2 but has cocycle order 3.
     """
     bound = c.action.group.order * c.action.order if max is None else max
     if bound < 1:

@@ -97,20 +97,27 @@ def _short_grid(E, base):
                     yield WeierstrassCurve(base, zero, zero, zero, a4, a6)
 
 
-def _label_class(E, T, base, group, g_classes, max_split_degree):
+def _class_data(E, base):
+    """Aut(E), its Frobenius classes over `base`, and each class's split degree."""
+    group = autmap.automorphism_group(E)
+    action = twistcoh.frobenius_action(group, base)
+    classes = twistcoh.frobenius_classes(action)
+    cocycles = (twistcoh.Cocycle(action, c.rep_index) for c in classes)
+    return group, classes, [twistcoh.splitting_degree(c) for c in cocycles]
+
+
+def _label_class(E, T, base, group, g_classes, degrees):
     """The twisted class of T among the twists of E, plus its split degree.
 
-    Finds psi: E -> T over the smallest extension, forms
-    (Fr(psi))^-1 o psi, and locates it in the automorphism group inside a
+    T meets E first over the split degree of its own class, so searching the
+    classes' ascending `degrees` finds it and a psi: E -> T there; forms
+    (Fr(psi))^-1 o psi and locates it in the automorphism group inside a
     common extension field.
     """
-    d = autmap.minimal_isomorphism_degree(E, T, max_split_degree)
+    d, isos = autmap.first_isomorphism_degree(E, T, degrees)
     if d is None:
-        raise RuntimeError(
-            f"no isomorphism within degree {max_split_degree}; not a twist"
-        )
-    ext = gf.field_create(base.p, base.n * d, limit=gf.split_limit())
-    psi = autmap.find_isomorphisms(E, T, ext)[0]
+        raise RuntimeError(f"no isomorphism over split degrees {degrees}")
+    psi = isos[0]
     phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
     comp = gf.field_create(
         base.p, math.lcm(phi.field.n, group.field.n), limit=gf.split_limit()
@@ -129,7 +136,7 @@ def _label_class(E, T, base, group, g_classes, max_split_degree):
     raise RuntimeError("automorphism missing from the class partition")
 
 
-def enumerate_twists(E, base, max_split_degree=24):
+def enumerate_twists(E, base):
     """One representative curve per twist class of E over `base`.
 
     Scans the short-form grid for curves with j(E), groups them into
@@ -143,9 +150,8 @@ def enumerate_twists(E, base, max_split_degree=24):
     E = E if E.ctx == base else E.base_change(base)
     if not E.is_smooth():
         raise ValueError("twist enumeration requires a smooth curve")
-    group = autmap.automorphism_group(E)
-    action = twistcoh.frobenius_action(group, base)
-    g_classes = twistcoh.frobenius_classes(action)
+    group, g_classes, class_degrees = _class_data(E, base)
+    degrees = sorted(set(class_degrees))
     want = len(g_classes)
     reps = []
     scanned = 0
@@ -167,7 +173,7 @@ def enumerate_twists(E, base, max_split_degree=24):
         )
     by_class = {}
     for T in reps:
-        cls, degree = _label_class(E, T, base, group, g_classes, max_split_degree)
+        cls, degree = _label_class(E, T, base, group, g_classes, degrees)
         if cls.rep_index in by_class:
             raise RuntimeError("two non-isomorphic curves received one class label")
         by_class[cls.rep_index] = TwistEntry(
@@ -364,16 +370,6 @@ _EXPECTED_J0_DEGREES = {
 }
 
 
-def _class_data(E, base):
-    G = autmap.automorphism_group(E)
-    A = twistcoh.frobenius_action(G, base)
-    classes = twistcoh.frobenius_classes(A)
-    degrees = sorted(
-        twistcoh.splitting_degree(twistcoh.Cocycle(A, c.rep_index)) for c in classes
-    )
-    return len(classes), degrees
-
-
 def verify_twist_tables(p, n):
     """Check twist counts, split degrees, and the j = 0 census over F_{p^n}.
 
@@ -391,14 +387,14 @@ def verify_twist_tables(p, n):
     expected_count = _EXPECTED_COUNTS[p][0 if parity else 1]
     expected_degrees = _EXPECTED_J0_DEGREES[p][0 if parity else 1]
     E0 = WeierstrassCurve(base, *_J0_CURVES[p])
-    count0, degrees0 = _class_data(E0, base)
+    _, classes0, degrees0 = _class_data(E0, base)
     E1 = WeierstrassCurve(base, *_JNZ_CURVES[p])
-    count1, degrees1 = _class_data(E1, base)
+    _, classes1, degrees1 = _class_data(E1, base)
     items = [
-        LineItem("j_zero_twist_count", expected_count, count0),
-        LineItem("j_zero_split_degrees", expected_degrees, degrees0),
-        LineItem("j_nonzero_twist_count", 2, count1),
-        LineItem("j_nonzero_split_degrees", [1, 2], degrees1),
+        LineItem("j_zero_twist_count", expected_count, len(classes0)),
+        LineItem("j_zero_split_degrees", expected_degrees, sorted(degrees0)),
+        LineItem("j_nonzero_twist_count", 2, len(classes1)),
+        LineItem("j_nonzero_split_degrees", [1, 2], sorted(degrees1)),
         LineItem("j_zero_class_census", expected_count, j_zero_class_census(base)),
     ]
     return VerdictReport(base=f"{p}^{n}", items=items)

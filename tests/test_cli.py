@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from twistlab import cli, gf
+from twistlab import cli, gf, twists
 
 
 def run(argv, capsys):
@@ -194,6 +194,19 @@ def test_repro_text_lines(capsys):
     assert lines[-1] == "all 63 items pass"
 
 
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(E, base):
+        raise RuntimeError("two non-isomorphic curves received one class label")
+
+    monkeypatch.setattr(twists, "enumerate_twists", broken)
+    rc = cli.main(["twists", "--p", "3", "--curve", "0,0,0,2,0"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: two non-isomorphic curves received one class label\n")
+
+
 def test_repro_detects_regression(monkeypatch, capsys):
     bad = dict(cli._EXAMPLE_KERNELS)
     bad[5] = 2
@@ -243,7 +256,7 @@ def test_json_output_is_stable(capsys):
     ["twists", "--p", "4, --curve", "0,0,0,2,0"],             # mangled args
     ["automorphisms", "--p", "4", "--curve", "0,0,0,2,0"],    # p not prime
     ["twists", "--p", "3", "--curve", "0,0,0,2,0",
-     "--max-split-degree", "0"],
+     "--max-split-degree", "0"],                              # unknown flag
     ["census", "--p", "7"],                                   # unsupported char
     ["bogus"],
     [],

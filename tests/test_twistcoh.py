@@ -224,6 +224,17 @@ def test_splitting_degree_vs_raw_order(G12):
         assert twistcoh.cocycle_order(c) == twistcoh.splitting_degree(c)
 
 
+def test_splitting_degree_below_order_on_a_representative():
+    # y^2 = x^3 + 2x + 1 over F_3: the class represented by element 2
+    # splits over F_9 although that representative's telescope closes at 3
+    E = WeierstrassCurve(F3, 0, 0, 0, 2, 1)
+    A = _action(autmap.automorphism_group(E), F3)
+    cls = next(c for c in twistcoh.frobenius_classes(A) if c.rep_index == 2)
+    c = twistcoh.Cocycle(A, cls.rep_index)
+    assert twistcoh.splitting_degree(c) == 2
+    assert twistcoh.cocycle_order(c) == 3
+
+
 def test_nontrivial_f2_classes_have_degree_8(G24):
     A = _action(G24, F2)
     for cls in twistcoh.frobenius_classes(A):

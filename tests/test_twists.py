@@ -15,6 +15,7 @@ F3 = gf.field_create(3)
 F4 = gf.field_create(2, 2)
 F5 = gf.field_create(5)
 F7 = gf.field_create(7)
+F8 = gf.field_create(2, 3)
 F9 = gf.field_create(3, 2)
 F11 = gf.field_create(11)
 F13 = gf.field_create(13)
@@ -68,20 +69,83 @@ def test_cubic_twists_over_f3(report3):
     assert not table["all_distinct"]
 
 
+def _assert_twist_invariants(report):
+    base = report.base
+    entries = report.entries
+    for i, e in enumerate(entries):
+        assert e.curve.j_invariant() == report.source.j_invariant()
+        # the recorded degree, found among the classes' split degrees only,
+        # is the least isomorphism degree over the full scan 1..24
+        assert autmap.minimal_isomorphism_degree(
+            report.source, e.curve, 24) == e.split_degree
+        for j in entries[i + 1:]:
+            assert not _base_iso(e.curve, j.curve, base)
+    assert entries[0].frob_class.is_trivial()
+    assert not any(e.frob_class.is_trivial() for e in entries[1:])
+
+
 def test_twist_invariants(report3, report2, report4):
     for report in (report3, report2, report4):
-        base = report.base
-        entries = report.entries
-        for i, e in enumerate(entries):
-            assert e.curve.j_invariant() == report.source.j_invariant()
-            # the recorded degree is both the isomorphism degree and the
-            # splitting degree of the class the twist was labeled with
-            assert autmap.minimal_isomorphism_degree(
-                report.source, e.curve, 24) == e.split_degree
-            for j in entries[i + 1:]:
-                assert not _base_iso(e.curve, j.curve, base)
-        assert entries[0].frob_class.is_trivial()
-        assert not any(e.frob_class.is_trivial() for e in entries[1:])
+        _assert_twist_invariants(report)
+
+
+@pytest.mark.parametrize("E, degrees", [
+    (E2.base_change(F8), [1, 8, 8]),
+    (E3.base_change(F9), [1, 2, 3, 4, 4, 6]),
+    (from_short(F7, 0, 1), [1, 2, 3, 3, 6, 6]),
+    (from_short(F13, 1, 0), [1, 2, 4, 4]),
+    (WeierstrassCurve(F8, 1, 0, 0, 0, 1), [1, 2]),
+], ids=["j0/2^3", "j0/3^2", "j0/7", "j1728/13", "ordinary/2^3"])
+def test_twist_invariants_wider(E, degrees):
+    report = twists.enumerate_twists(E, E.ctx)
+    assert sorted(e.split_degree for e in report.entries) == degrees
+    _assert_twist_invariants(report)
+
+
+@pytest.mark.parametrize("E", [E2, E3.base_change(F9)], ids=["j0/2^1", "j0/3^2"])
+def test_labelling_searches_only_class_split_degrees(E, monkeypatch):
+    # each twist is searched once per class split degree, ascending, up to
+    # its own; no other degree and no degree twice
+    base = E.ctx
+    searched = []
+    labelling = []
+    find = autmap.find_isomorphisms
+    label = twists._label_class
+
+    def counted_find(E1, E2, field):
+        if labelling:
+            searched.append((E2, field.n // base.n))
+        return find(E1, E2, field)
+
+    def flagged_label(*args):
+        labelling.append(True)
+        try:
+            return label(*args)
+        finally:
+            labelling.pop()
+
+    monkeypatch.setattr(autmap, "find_isomorphisms", counted_find)
+    monkeypatch.setattr(twists, "_label_class", flagged_label)
+    report = twists.enumerate_twists(E, base)
+    A = twistcoh.frobenius_action(autmap.automorphism_group(E), base)
+    class_degrees = {
+        twistcoh.splitting_degree(twistcoh.Cocycle(A, c.rep_index))
+        for c in twistcoh.frobenius_classes(A)
+    }
+    for e in report.entries:
+        tried = [d for T, d in searched if T == e.curve]
+        assert tried == sorted(d for d in class_degrees if d <= e.split_degree)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="(Fr psi)^-1 o psi is not a cocycle value in "
+                          "twistcoh's convention; psi^-1 o Fr(psi) is")
+@pytest.mark.parametrize("a6", [1, 2])
+def test_twists_of_cubic_twists_over_f3(a6):
+    # y^2 = x^3 + 2x + a6 are the cubic twists of y^2 = x^3 - x; two of
+    # their twists receive one label today
+    report = twists.enumerate_twists(WeierstrassCurve(F3, 0, 0, 0, 2, a6), F3)
+    assert sorted(e.split_degree for e in report.entries) == [1, 2, 3, 6]
 
 
 def test_entries_biject_with_classes(report3, report2, report4):
