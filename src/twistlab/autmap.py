@@ -297,54 +297,6 @@ def find_isomorphisms(E1, E2, field):
     return isos
 
 
-def exhaustive_isomorphisms(E1, E2, field):
-    """Isomorphism search by direct parameter scan; oracle for small fields.
-
-    Scans (u, s, r) with early pruning on the a1 and a2 relations; the
-    remaining parameter t is pinned by a linear or linearized equation.
-    """
-    if field.q ** 3 > gf.split_limit():
-        raise gf.LimitExceededError(
-            f"parameter scan over {field} exceeds the configured limit"
-        )
-    if E1.ctx != E2.ctx:
-        raise ValueError("curves must share a base field")
-    S = E1.base_change(field)
-    T = E2.base_change(field)
-    a1s, a2s, a3s, a4s, a6s = S.coefficients
-    a1t, a2t, a3t, a4t, a6t = T.coefficients
-    elements = gf.enumerate_field(field)
-    p = field.p
-    out = []
-    for u in elements[1:]:
-        for s in elements:
-            b1 = u * a1s - 2 * s
-            if b1 != a1t:
-                continue
-            for r in elements:
-                b2 = u ** 2 * a2s + s * b1 - 3 * r + s * s
-                if b2 != a2t:
-                    continue
-                if p != 2:
-                    ts = [(u ** 3 * a3s - r * b1 - a3t) / 2]
-                else:
-                    b3 = u ** 3 * a3s - r * b1
-                    if b3 != a3t:
-                        continue
-                    if not b1.is_zero():
-                        ts = [(a4t + u ** 4 * a4s + s * b3 + r * s * b1 + r * r) / b1]
-                    elif u ** 4 * a4s + s * b3 + r * r != a4t:
-                        continue
-                    else:
-                        rhs = a6t + u ** 6 * a6s + r * a4t + r * r * a2t + r ** 3
-                        ts = gf.linearized_roots(a3t, rhs, k=1)
-                for t in ts:
-                    if transform_coefficients(S.coefficients, u, r, s, t) == T.coefficients:
-                        out.append(CurveIsomorphism(field, S, T, u, r, s, t))
-    out.sort(key=CurveIsomorphism.param_key)
-    return out
-
-
 def first_isomorphism_degree(E1, E2, degrees):
     """First d in `degrees` with an isomorphism E1 -> E2 over degree d.
 
@@ -405,10 +357,6 @@ class AutGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    @property
-    def minimal_degree(self):
-        return self.field.n // self.curve.ctx.n
 
     def index_of(self, f):
         """Index of an automorphism with the same parameters, or None."""

@@ -469,8 +469,6 @@ def _dlog(e):
         raise ZeroDivisionError(f"discrete log of zero in {ctx}")
     g = generator(ctx)
     qm1 = ctx.q - 1
-    if qm1 == 1:
-        return 0
     if ctx._baby_steps is None:
         m = math.isqrt(qm1) + 1
         table = {}
@@ -636,30 +634,6 @@ def artin_schreier_roots(c):
     if ctx.p not in (2, 3):
         raise ValueError(f"Artin-Schreier solve needs characteristic 2 or 3, got {ctx.p}")
     return linearized_roots(ctx.scalar(-1), c, k=1)
-
-
-def poly_roots(coeffs):
-    """Roots in the coefficients' field of sum(coeffs[i] * x^i), by full scan."""
-    if not coeffs:
-        raise ValueError("empty polynomial")
-    ctx = coeffs[0].ctx
-    for c in coeffs:
-        if c.ctx != ctx:
-            raise ValueError("polynomial coefficients from mixed fields")
-    if all(c.is_zero() for c in coeffs):
-        raise ValueError("zero polynomial")
-    if coeffs[-1].is_zero():
-        raise ValueError("leading coefficient is zero")
-    if len(coeffs) < 2:
-        raise ValueError("constant polynomial has no roots")
-    roots = []
-    for x in enumerate_field(ctx):
-        acc = ctx.zero
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if acc.is_zero():
-            roots.append(x)
-    return roots
 
 
 def absolute_trace(e):

@@ -196,15 +196,13 @@ def _cocycle_value_index(c, j):
     return value
 
 
-def cocycle_order(c, max=None):
-    """Least j >= 1 with trivial value at Fr^j, or None within the bound.
+def cocycle_order(c):
+    """Least j >= 1 with trivial value at Fr^j.
 
-    The default bound |G| * (action order) always suffices here, so None
-    can only come from an explicit smaller max.
+    v(k * m) = v(m)^k for the action order m, so the order is at most
+    |G| * m; a search that runs past that bound is an internal fault.
     """
-    bound = c.action.group.order * c.action.order if max is None else max
-    if bound < 1:
-        raise ValueError(f"search bound must be at least 1, got {bound}")
+    bound = c.action.group.order * c.action.order
     table = c.action.group.cayley
     perm = c.action.perm
     value = 0
@@ -212,7 +210,7 @@ def cocycle_order(c, max=None):
         value = table[c.index][perm[value]]
         if value == 0:
             return j
-    return None
+    raise RuntimeError(f"{c!r} has no trivial value within {bound} steps")
 
 
 def _coboundary_sets(A):
@@ -233,7 +231,7 @@ def _coboundary_sets(A):
     return sets
 
 
-def splitting_degree(c, max=None):
+def splitting_degree(c):
     """Least j >= 1 over which the twist labeled by c becomes trivial.
 
     Unlike the raw cocycle order this is constant on twisted classes: a
@@ -241,10 +239,10 @@ def splitting_degree(c, max=None):
     when its telescoped values first return to the identity later.  Class
     representatives differ too: for y^2 = x^3 + 2x + 1 over GF(3), element
     2 represents a class of splitting degree 2 but has cocycle order 3.
+    The degree never exceeds the cocycle order, so the search stops at
+    |G| * (action order).
     """
-    bound = c.action.group.order * c.action.order if max is None else max
-    if bound < 1:
-        raise ValueError(f"search bound must be at least 1, got {bound}")
+    bound = c.action.group.order * c.action.order
     coboundaries = _coboundary_sets(c.action)
     m = c.action.order
     table = c.action.group.cayley
@@ -254,7 +252,7 @@ def splitting_degree(c, max=None):
         value = table[c.index][perm[value]]
         if value in coboundaries[j % m]:
             return j
-    return None
+    raise RuntimeError(f"{c!r} does not split within degree {bound}")
 
 
 def stable_subgroups(A):

@@ -14,6 +14,7 @@ point counts, and checks the expected count/degree/census tables for
 characteristic 2 and 3.
 """
 
+import itertools
 import math
 
 from . import autmap, gf, twistcoh
@@ -153,6 +154,7 @@ def enumerate_twists(E, base):
     group, g_classes, class_degrees = _class_data(E, base)
     degrees = sorted(set(class_degrees))
     want = len(g_classes)
+    j = E.j_invariant()
     reps = []
     scanned = 0
     budget = gf.split_limit()
@@ -160,7 +162,7 @@ def enumerate_twists(E, base):
         scanned += 1
         if scanned > budget:
             raise RuntimeError("coefficient scan exhausted the search budget")
-        if not T.is_smooth() or T.j_invariant() != E.j_invariant():
+        if not T.is_smooth() or T.j_invariant() != j:
             continue
         if any(autmap.find_isomorphisms(R, T, base) for R in reps):
             continue
@@ -267,58 +269,63 @@ def j_zero_class_representatives(base):
     so classes are orbits of the coefficient action, found by flooding
     with generators (one scale by a primitive element plus the additive
     shifts along a field basis).  The representative of each class is
-    its first member in canonical scan order.
+    its first member in canonical scan order.  The flood visits every
+    node of the family, so their number is checked against the working
+    limit first.
     """
-    p = base.p
+    p, q = base.p, base.q
     if p not in (2, 3):
         raise ValueError("census implemented for characteristic 2 and 3")
+    nodes = (q - 1) * q ** (2 if p == 2 else 1)
+    limit = gf.working_limit()
+    if nodes > limit:
+        raise gf.LimitExceededError(
+            f"census over {base} needs {nodes} grid nodes, limit {limit}"
+        )
     elements = gf.enumerate_field(base)
     basis = [base.gen() ** i for i in range(base.n)]
     g = gf.generator(base)
     zero = base.zero
+    if p == 3:
+        # nodes (a4, a6) of y^2 = x^3 + a4 x + a6
+        prefix = (zero, zero, zero)
+        starts = itertools.product(elements[1:], elements)
+        g4, g6 = g ** 4, g ** 6
+        shifts = [(r, r ** 3) for r in basis]
+
+        def moves(node):
+            a, b = node
+            yield g4 * a, g6 * b
+            for r, r3 in shifts:
+                yield a, b - r * a - r3
+    else:
+        # nodes (a3, a4, a6) of y^2 + a3 y = x^3 + a4 x + a6
+        prefix = (zero, zero)
+        starts = itertools.product(elements[1:], elements, elements)
+        g3, g4, g6 = g ** 3, g ** 4, g ** 6
+        shifts = [(s, s * s, s ** 4, s ** 6) for s in basis]
+
+        def moves(node):
+            a3, a4, a6 = node
+            yield g3 * a3, g4 * a4, g6 * a6
+            for s, s2, s4, s6 in shifts:
+                b4 = a4 + s * a3 + s4
+                yield a3, b4, a6 + s2 * b4 + s6
+            for t, t2, _, _ in shifts:
+                yield a3, a4, a6 + t * a3 + t2
     reps = []
     seen = set()
-    if p == 3:
-        nodes = [(a, b) for a in elements[1:] for b in elements]
-        for start in nodes:
-            if start in seen:
-                continue
-            reps.append(WeierstrassCurve(base, zero, zero, zero, *start))
-            stack = [start]
-            seen.add(start)
-            while stack:
-                a, b = stack.pop()
-                for nxt in [(g ** 4 * a, g ** 6 * b)] + [
-                    (a, b - r * a - r ** 3) for r in basis
-                ]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-    else:
-        nodes = [
-            (a3, a4, a6)
-            for a3 in elements[1:]
-            for a4 in elements
-            for a6 in elements
-        ]
-        for start in nodes:
-            if start in seen:
-                continue
-            reps.append(WeierstrassCurve(base, zero, zero, *start))
-            stack = [start]
-            seen.add(start)
-            while stack:
-                a3, a4, a6 = stack.pop()
-                moves = [(g ** 3 * a3, g ** 4 * a4, g ** 6 * a6)]
-                for s in basis:
-                    b4 = a4 + s * a3 + s ** 4
-                    moves.append((a3, b4, a6 + s * s * b4 + s ** 6))
-                for t in basis:
-                    moves.append((a3, a4, a6 + t * a3 + t * t))
-                for nxt in moves:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+    for start in starts:
+        if start in seen:
+            continue
+        reps.append(WeierstrassCurve(base, *prefix, *start))
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for nxt in moves(stack.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
     return reps
 
 

@@ -2,10 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from twistlab import cli, gf, twists
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -141,6 +144,13 @@ def test_census(capsys):
     assert rc == 0 and doc["count"] == 6
     rc, doc = run_json(["census", "--p", "2", "--n", "2"], capsys)
     assert rc == 0 and doc["count"] == 7
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in range(1, 5)])
+def test_census_matches_golden_files(capsys, p, n):
+    rc, out = run(["census", "--p", str(p), "--n", str(n), "--json"], capsys)
+    assert rc == 0
+    assert out == (GOLDEN / f"census_{p}_{n}.json").read_text()
 
 
 @pytest.mark.parametrize("preset", [None, "5000"])

@@ -315,14 +315,26 @@ def test_j_zero_census():
         twists.j_zero_class_census(F5)
 
 
-def test_census_representatives_are_the_twists(report2):
-    reps = twists.j_zero_class_representatives(F2)
-    assert len(reps) == 3
+@pytest.mark.parametrize("fixture, base", [
+    ("report2", F2), ("report3", F3), ("report4", F4),
+], ids=["2^1", "3^1", "2^2"])
+def test_census_representatives_are_the_twists(request, fixture, base):
+    report = request.getfixturevalue(fixture)
+    reps = twists.j_zero_class_representatives(base)
+    assert len(reps) == len(report.entries)
     for R in reps:
-        assert R.j_invariant() == F2.element(0)
-        assert sum(_base_iso(R, e.curve, F2) for e in report2.entries) == 1
+        assert R.j_invariant() == base.zero
+        assert sum(_base_iso(R, e.curve, base) for e in report.entries) == 1
     for R, S in zip(reps, reps[1:]):
-        assert not _base_iso(R, S, F2)
+        assert not _base_iso(R, S, base)
+
+
+def test_census_refuses_past_the_working_limit(monkeypatch):
+    F27 = gf.field_create(3, 3)
+    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
+    with pytest.raises(gf.LimitExceededError) as exc:
+        twists.j_zero_class_representatives(F27)
+    assert str(exc.value) == "census over GF(3^3) needs 702 grid nodes, limit 100"
 
 
 def test_verify_twist_tables():
