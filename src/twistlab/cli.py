@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 computation limit exceeded,
 
 import argparse
 import json
-import os
 import sys
 
 from . import autmap, gf, twistcoh, twists
@@ -438,7 +437,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    saved_limit = os.environ.get(gf.LIMIT_ENV_VAR)
     try:
         args = _build_parser().parse_args(argv)
         if args.command is None:
@@ -452,9 +450,11 @@ def main(argv=None):
             field_size_limit=args.limit,
             output="json" if args.json else "text",
         )
-        if cfg.field_size_limit is not None:
-            os.environ[gf.LIMIT_ENV_VAR] = str(cfg.field_size_limit)
-        return _COMMANDS[args.command](cfg)
+        token = gf.LIMIT_OVERRIDE.set(cfg.field_size_limit)
+        try:
+            return _COMMANDS[args.command](cfg)
+        finally:
+            gf.LIMIT_OVERRIDE.reset(token)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -467,11 +467,6 @@ def main(argv=None):
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if saved_limit is None:
-            os.environ.pop(gf.LIMIT_ENV_VAR, None)
-        else:
-            os.environ[gf.LIMIT_ENV_VAR] = saved_limit
 
 
 if __name__ == "__main__":

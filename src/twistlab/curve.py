@@ -11,7 +11,6 @@ point enumeration is the right tool.
 """
 
 from . import gf
-from .gf import FieldElem
 
 
 class WeierstrassCurve:
@@ -38,7 +37,7 @@ class WeierstrassCurve:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n) + tuple(a.coeffs for a in self.coefficients))
+        return hash((self.ctx.p, self.ctx.n) + tuple(a.canon for a in self.coefficients))
 
     def __repr__(self):
         names = ("a1", "a2", "a3", "a4", "a6")
@@ -85,7 +84,12 @@ class WeierstrassCurve:
         return lhs == rhs
 
     def enumerate_points(self):
-        """All affine points plus infinity, x-column by x-column (cached)."""
+        """All affine points plus infinity, x-column by x-column (cached).
+
+        Each x costs one root step: a square root (None when there is
+        none) for odd p, and for p = 2 one solve of w^2 + w = c against
+        the field's cached Artin-Schreier basis.
+        """
         if self._points is not None:
             return list(self._points)
         ctx = self.ctx
@@ -93,7 +97,7 @@ class WeierstrassCurve:
         points = [None]
         if ctx.p == 2:
             for x in gf.enumerate_field(ctx):
-                rhs = x ** 3 + a2 * x * x + a4 * x + a6
+                rhs = ((x + a2) * x + a4) * x + a6
                 alpha = a1 * x + a3
                 if alpha.is_zero():
                     # y^2 = rhs: unique root since squaring is bijective
@@ -108,11 +112,12 @@ class WeierstrassCurve:
             for x in gf.enumerate_field(ctx):
                 # complete the square: (y + (a1*x + a3)/2)^2 = rhs + ((a1*x + a3)/2)^2
                 shift = (a1 * x + a3) * inv2
-                rhs = x ** 3 + a2 * x * x + a4 * x + a6 + shift * shift
+                rhs = ((x + a2) * x + a4) * x + a6 + shift * shift
                 if rhs.is_zero():
                     points.append((x, -shift))
-                elif gf.is_square(rhs):
-                    r = gf.sqrt(rhs)
+                    continue
+                r = gf.sqrt(rhs)
+                if r is not None:
                     points.append((x, r - shift))
                     points.append((x, -r - shift))
         self._points = points

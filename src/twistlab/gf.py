@@ -1,21 +1,53 @@
 """Exact arithmetic in small finite fields GF(p^n).
 
-Elements are coefficient vectors over GF(p) in a fixed polynomial basis,
-ascending powers.  The modulus for each (p, n) is the lexicographically
-smallest monic irreducible polynomial of degree n (coefficient vector read
-as a base-p integer), so construction is deterministic: two contexts built
-for the same (p, n) are the same field with the same element encoding.
+Encoding.  An element is stored as one int, its canonical index: the
+coefficient vector over GF(p) in a fixed polynomial basis (ascending
+powers) read as a base-p integer.  The canonical order on elements is
+that index; "smallest" always means smallest in that order, and
+`FieldElem.coeffs` derives the vector from it.  The modulus for each
+(p, n) is the lexicographically smallest monic irreducible polynomial of
+degree n (coefficient vector read as a base-p integer), so construction
+is deterministic, and `field_create` caches one context per (p, n): a
+field is identified by its context object.
 
-The canonical order on elements is their coefficient vector read as a
-base-p integer; "smallest" always means smallest in that order.
+Kernels.  Each context carries int-level kernels chosen by its kind
+(they live in `twistlab.gfkernels`, loaded with the first field):
+
+- prime fields: native int arithmetic mod p, with the built-in `pow` for
+  powers, inverses and Euler's criterion;
+- p = 2, n > 1: addition is XOR, and the product is a shift-and-XOR
+  carry-less multiply reduced by the modulus;
+- odd p, n = 2: products and inverses by formula, since the modulus is
+  always x^2 + m0;
+- odd p, n > 2: Kronecker substitution.  The digit vectors are packed
+  into wide bit slots, multiplied as one int, folded by the modulus and
+  reduced mod p in every slot at once;
+- odd p, n > 1: sums and differences digit by digit, several digits per
+  step through small tables when p <= 7.
+
+Tables.  Following the lookup-table design of the `galois` library
+(https://github.com/mhostetter/galois), the first enumeration of a field,
+an O(q) cost its caller pays anyway (point counts, grid scans, the
+census), builds exp and log tables over the canonical generator, stored
+as compact arrays, plus Zech logs when p is odd and n > 1.  From then on
+products, inverses and powers in GF(p^n), n > 1, are table lookups, odd-p
+sums go through the Zech logs, and `is_square`, `sqrt`, `nth_roots` and
+the discrete log read the log table.  Fields used only for roots, linear
+algebra and embeddings are never tabled; their discrete logs use
+baby-step giant-step.  Importing the module builds nothing and leaves
+the kernels unloaded.
 """
 
+import contextvars
 import math
 import os
 
 DEFAULT_LIMIT = 1 << 22
 SPLIT_LIMIT = 1 << 24
 LIMIT_ENV_VAR = "TWISTLAB_LIMIT"
+# A limit set for the current context (the CLI's --limit); read before the
+# environment, so a command never has to write TWISTLAB_LIMIT.
+LIMIT_OVERRIDE = contextvars.ContextVar("twistlab_limit", default=None)
 
 
 class LimitExceededError(Exception):
@@ -23,7 +55,14 @@ class LimitExceededError(Exception):
 
 
 def working_limit():
-    """Current working limit on field size (env override via TWISTLAB_LIMIT)."""
+    """Current working limit on field size.
+
+    The value set in `LIMIT_OVERRIDE` wins; then TWISTLAB_LIMIT; then
+    DEFAULT_LIMIT.
+    """
+    override = LIMIT_OVERRIDE.get()
+    if override is not None:
+        return override
     raw = os.environ.get(LIMIT_ENV_VAR)
     if raw is None:
         return DEFAULT_LIMIT
@@ -198,13 +237,36 @@ def field_create(p, n=1, limit=None):
     return ctx
 
 
+def _digits(v, p, n):
+    """The n base-p digits of v, least significant first."""
+    out = []
+    for _ in range(n):
+        v, d = divmod(v, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _from_digits(digits, p):
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
+
+
 class FieldCtx:
-    """A finite field GF(p^n) with a fixed polynomial-basis encoding."""
+    """A finite field GF(p^n) with a fixed polynomial-basis encoding.
+
+    Built only by `field_create`, which keeps one context per (p, n), so
+    contexts compare by identity.  `_add`, `_sub`, `_neg`, `_mul`, `_inv`
+    and `_pow` are the field's kernels on canonical ints; `_pow` takes a
+    nonzero base and an exponent already reduced mod q - 1.
+    """
 
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
         "_generator", "_qm1_factors", "_baby_steps", "_baby_count",
-        "_giant_step", "_sqrt_table", "_embed_cache",
+        "_giant_step", "_embed_cache", "_exp", "_log", "_as_basis",
+        "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
     )
 
     def __init__(self, p, n, modulus):
@@ -212,27 +274,31 @@ class FieldCtx:
         self.n = n
         self.q = p**n
         self.modulus = modulus
-        self._zero = FieldElem(self, (0,) * n)
-        self._one = FieldElem(self, (1,) + (0,) * (n - 1))
+        self._zero = FieldElem(self, 0)
+        self._one = FieldElem(self, 1)
         self._elements = None
         self._generator = None
         self._qm1_factors = None
         self._baby_steps = None
         self._baby_count = None
         self._giant_step = None
-        self._sqrt_table = None
         self._embed_cache = {}
+        self._exp = None
+        self._log = None
+        self._as_basis = None
+        from . import gfkernels
+
+        if n == 1:
+            gfkernels.prime_kernels(self)
+        elif p == 2:
+            gfkernels.binary_kernels(self)
+        elif n == 2:
+            gfkernels.quadratic_kernels(self)
+        else:
+            gfkernels.packed_kernels(self)
 
     def __repr__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
-
-    def __eq__(self, other):
-        if isinstance(other, FieldCtx):
-            return self.p == other.p and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.n))
 
     @property
     def zero(self):
@@ -246,183 +312,176 @@ class FieldCtx:
         """The basis generator (the class of x); equals 1 when n == 1."""
         if self.n == 1:
             return self._one
-        return FieldElem(self, (0, 1) + (0,) * (self.n - 2))
+        return FieldElem(self, self.p)
 
     def scalar(self, k):
         """The constant k mod p as a field element."""
-        return FieldElem(self, (k % self.p,) + (0,) * (self.n - 1))
+        return FieldElem(self, k % self.p)
 
     def element(self, value):
         """Build an element from an int (scalar mod p) or coefficient list."""
         if isinstance(value, FieldElem):
-            if value.ctx != self:
+            if value.ctx is not self:
                 raise ValueError(f"element of {value.ctx} used in {self}")
             return value
         if isinstance(value, int):
             return self.scalar(value)
-        coeffs = tuple(int(c) % self.p for c in value)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.n:
             raise ValueError(f"need {self.n} coefficients for {self}, got {len(coeffs)}")
-        return FieldElem(self, coeffs)
+        return FieldElem(self, _from_digits(coeffs, self.p))
 
     def from_canon(self, k):
         """Element whose coefficient vector is the base-p expansion of k."""
         if not 0 <= k < self.q:
             raise ValueError(f"canonical index {k} out of range for {self}")
-        digits = []
-        for _ in range(self.n):
-            digits.append(k % self.p)
-            k //= self.p
-        return FieldElem(self, tuple(digits))
+        return FieldElem(self, k)
 
 
 class FieldElem:
-    """An element of a FieldCtx; immutable coefficient vector."""
+    """An element of a FieldCtx, stored as its canonical index `v`.
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    Equal to an int k when it is the constant k mod p, so ints outside
+    [0, p) compare after reduction mod p; the hash is that of the index,
+    so an element and an int in [0, p) that compare equal hash alike.
+    """
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "v")
+
+    def __init__(self, ctx, v):
         self.ctx = ctx
-        self.coeffs = coeffs
-        self._hash = None
+        self.v = v
 
     @property
     def canon(self):
         """Coefficient vector read as a base-p integer (the canonical order)."""
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.ctx.p + c
-        return k
+        return self.v
+
+    @property
+    def coeffs(self):
+        """Coefficient vector over GF(p), ascending powers."""
+        return _digits(self.v, self.ctx.p, self.ctx.n)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.v
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.v != 0
 
     def _coerce(self, other):
+        """Canonical index of `other` in this field, or None if not a field value.
+
+        The operators test the common case, an element of the same field,
+        inline before calling this.
+        """
         if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx:
                 raise ValueError(f"mixed fields: {self.ctx} and {other.ctx}")
-            return other
+            return other.v
         if isinstance(other, int):
-            return self.ctx.scalar(other)
+            return other % self.ctx.p
         return None
 
     def __add__(self, other):
+        ctx = self.ctx
+        if other.__class__ is FieldElem and other.ctx is ctx:
+            return FieldElem(ctx, ctx._add(self.v, other.v))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.ctx.p
-        return FieldElem(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElem(ctx, ctx._add(self.v, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElem(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        return FieldElem(ctx, ctx._neg(self.v))
 
     def __sub__(self, other):
+        ctx = self.ctx
+        if other.__class__ is FieldElem and other.ctx is ctx:
+            return FieldElem(ctx, ctx._sub(self.v, other.v))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.ctx.p
-        return FieldElem(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElem(ctx, ctx._sub(self.v, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        ctx = self.ctx
+        return FieldElem(ctx, ctx._sub(o, self.v))
 
     def __mul__(self, other):
+        ctx = self.ctx
+        if other.__class__ is FieldElem and other.ctx is ctx:
+            return FieldElem(ctx, ctx._mul(self.v, other.v))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        p, n = ctx.p, ctx.n
-        if n == 1:
-            return FieldElem(ctx, ((self.coeffs[0] * o.coeffs[0]) % p,))
-        a, b = self.coeffs, o.coeffs
-        out = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        mod = ctx.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = out[i] % p
-            if c:
-                for j in range(n):
-                    out[i - n + j] -= c * mod[j]
-            out[i] = 0
-        return FieldElem(ctx, tuple(c % p for c in out[:n]))
+        return FieldElem(ctx, ctx._mul(self.v, o))
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.is_zero():
+        if not self.v:
             raise ZeroDivisionError(f"inverse of zero in {self.ctx}")
-        return self ** (self.ctx.q - 2)
+        ctx = self.ctx
+        return FieldElem(ctx, ctx._inv(self.v))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        if not o:
+            raise ZeroDivisionError(f"inverse of zero in {self.ctx}")
+        ctx = self.ctx
+        return FieldElem(ctx, ctx._mul(self.v, ctx._inv(o)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return FieldElem(self.ctx, o) * self.inv()
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
+        ctx = self.ctx
         if e == 0:
-            return self.ctx.one  # includes 0^0 = 1 by convention
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return ctx.one  # includes 0^0 = 1 by convention
+        if not self.v:
+            if e < 0:
+                raise ZeroDivisionError(f"inverse of zero in {ctx}")
+            return self
+        return FieldElem(ctx, ctx._pow(self.v, e % (ctx.q - 1)))
 
     def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.ctx == other.ctx and self.coeffs == other.coeffs
+        if other.__class__ is FieldElem:
+            return self.ctx is other.ctx and self.v == other.v
         if isinstance(other, int):
-            return self == self.ctx.scalar(other)
+            return self.v == other % self.ctx.p
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ctx.p, self.ctx.n, self.coeffs))
-        return self._hash
+        return hash(self.v)
 
     def __repr__(self):
         return element_to_str(self)
 
 
 def enumerate_field(ctx):
-    """All elements of ctx in canonical order, as a list."""
+    """All elements of ctx in canonical order, as a list.
+
+    The first call pays O(q) for the list and builds the field's tables
+    at the same time.
+    """
     if ctx._elements is None:
-        elems = []
-        p, n = ctx.p, ctx.n
-        coeffs = [0] * n
-        for _ in range(ctx.q):
-            elems.append(FieldElem(ctx, tuple(coeffs)))
-            for i in range(n):
-                coeffs[i] += 1
-                if coeffs[i] < p:
-                    break
-                coeffs[i] = 0
-        ctx._elements = elems
+        from . import gfkernels
+
+        gfkernels.table_kernels(ctx, generator(ctx).v)
+        ctx._elements = [FieldElem(ctx, k) for k in range(ctx.q)]
     return list(ctx._elements)
 
 
@@ -453,39 +512,45 @@ def generator(ctx):
     qm1 = ctx.q - 1
     if ctx._qm1_factors is None:
         ctx._qm1_factors = _factorize(qm1) if qm1 > 1 else {}
-    primes = list(ctx._qm1_factors)
+    exponents = [qm1 // ell for ell in ctx._qm1_factors]
+    power = ctx._pow
     for k in range(1, ctx.q):
-        cand = ctx.from_canon(k)
-        if all(cand ** (qm1 // ell) != ctx.one for ell in primes):
-            ctx._generator = cand
-            return cand
+        if all(power(k, x) != 1 for x in exponents):
+            ctx._generator = FieldElem(ctx, k)
+            return ctx._generator
     raise RuntimeError(f"no generator found in {ctx}")  # unreachable
 
 
 def _dlog(e):
-    """Discrete log base the canonical generator, via baby-step giant-step."""
+    """Discrete log base the canonical generator.
+
+    A table lookup on tabled fields; baby-step giant-step elsewhere.
+    """
     ctx = e.ctx
     if e.is_zero():
         raise ZeroDivisionError(f"discrete log of zero in {ctx}")
-    g = generator(ctx)
+    if ctx._log is not None:
+        return ctx._log[e.v]
     qm1 = ctx.q - 1
+    mul = ctx._mul
     if ctx._baby_steps is None:
+        g = generator(ctx).v
         m = math.isqrt(qm1) + 1
         table = {}
-        acc = ctx.one
+        acc = 1
         for j in range(m):
-            table.setdefault(acc.coeffs, j)
-            acc = acc * g
+            table.setdefault(acc, j)
+            acc = mul(acc, g)
         ctx._baby_steps = table
         ctx._baby_count = m
-        ctx._giant_step = g.inv() ** m
+        ctx._giant_step = ctx._pow(ctx._inv(g), m % qm1)
     table, m, step = ctx._baby_steps, ctx._baby_count, ctx._giant_step
-    cur = e
+    cur = e.v
     for i in range(m + 1):
-        j = table.get(cur.coeffs)
+        j = table.get(cur)
         if j is not None:
             return (i * m + j) % qm1
-        cur = cur * step
+        cur = mul(cur, step)
     raise RuntimeError(f"discrete log failed in {ctx}")  # unreachable
 
 
@@ -507,19 +572,19 @@ def nth_roots(e, m):
     step = qm1 // d
     e0 = (k // d) * pow(m // d, -1, step) % step if step > 1 else 0
     roots = [g ** (e0 + j * step) for j in range(d)]
-    roots.sort(key=lambda x: x.canon)
+    roots.sort(key=lambda x: x.v)
     return roots
 
 
 def is_square(e):
-    """Euler criterion for odd p; everything is a square when p == 2."""
+    """Whether e is a square: a log-table parity test on tabled fields,
+    Euler's criterion elsewhere; everything is a square when p == 2."""
     ctx = e.ctx
     if ctx.p == 2 or e.is_zero():
         return True
-    return e ** ((ctx.q - 1) // 2) == ctx.one
-
-
-_SQRT_TABLE_MAX = 1 << 16
+    if ctx._log is not None:
+        return ctx._log[e.v] % 2 == 0
+    return ctx._pow(e.v, (ctx.q - 1) // 2) == 1
 
 
 def sqrt(e):
@@ -533,17 +598,15 @@ def sqrt(e):
         return e ** (2 ** (ctx.n - 1))
     if e.is_zero():
         return ctx.zero
-    if ctx.q <= _SQRT_TABLE_MAX:
-        if ctx._sqrt_table is None:
-            table = {}
-            for x in enumerate_field(ctx):
-                sq = (x * x).coeffs
-                if sq not in table:
-                    table[sq] = x
-            ctx._sqrt_table = table
-        return ctx._sqrt_table.get(e.coeffs)
-    roots = nth_roots(e, 2)
-    return roots[0] if roots else None
+    log = ctx._log
+    if log is None:
+        roots = nth_roots(e, 2)
+        return roots[0] if roots else None
+    k = log[e.v]
+    if k % 2:
+        return None
+    r = ctx._exp[k // 2]
+    return FieldElem(ctx, min(r, ctx._neg(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +660,12 @@ def linearized_roots(a, rhs, k=1):
     coefficient vectors; it works at any field size in scope.
     """
     ctx = a.ctx
-    if rhs.ctx != ctx:
+    if rhs.ctx is not ctx:
         raise ValueError(f"mixed fields: {ctx} and {rhs.ctx}")
     p, n = ctx.p, ctx.n
     columns = []
     for i in range(n):
-        basis = FieldElem(ctx, tuple(1 if j == i else 0 for j in range(n)))
+        basis = FieldElem(ctx, p**i)
         image = frobenius(basis, k) + a * basis
         columns.append(list(image.coeffs))
     particular, kernel = _solve_gfp_system(columns, list(rhs.coeffs), p)
@@ -619,8 +682,8 @@ def linearized_roots(a, rhs, k=1):
             if c:
                 for i in range(n):
                     vec[i] = (vec[i] + c * kv[i]) % p
-        roots.append(FieldElem(ctx, tuple(vec)))
-    roots.sort(key=lambda x: x.canon)
+        roots.append(FieldElem(ctx, _from_digits(vec, p)))
+    roots.sort(key=lambda x: x.v)
     return roots
 
 
@@ -628,12 +691,47 @@ def artin_schreier_roots(c):
     """All w with w^p - w == c, for p in {2, 3}.
 
     Nonempty exactly when the absolute trace of c vanishes; then there are
-    exactly p roots differing by GF(p).
+    exactly p roots differing by GF(p).  For p = 2 the solve reduces c
+    against the field's cached basis of the image of w |-> w^2 + w.
     """
     ctx = c.ctx
-    if ctx.p not in (2, 3):
+    if ctx.p == 3:
+        return linearized_roots(ctx.scalar(-1), c, k=1)
+    if ctx.p != 2:
         raise ValueError(f"Artin-Schreier solve needs characteristic 2 or 3, got {ctx.p}")
-    return linearized_roots(ctx.scalar(-1), c, k=1)
+    rows = _artin_schreier_basis(ctx)
+    v, w = c.v, 0
+    while v:
+        row = rows.get(v.bit_length() - 1)
+        if row is None:
+            return []
+        v ^= row[0]
+        w ^= row[1]
+    w &= ~1  # the roots are w and w + 1
+    return [FieldElem(ctx, w), FieldElem(ctx, w | 1)]
+
+
+def _artin_schreier_basis(ctx):
+    """Echelon basis of the image of w |-> w^2 + w on GF(2^n).
+
+    Maps the leading bit of each basis image to (image, a preimage), so
+    reducing c against it by XOR also builds a root.  The map depends only
+    on the field, so the basis is built once per field.
+    """
+    if ctx._as_basis is None:
+        rows = {}
+        for i in range(ctx.n):
+            pre = 1 << i
+            img = ctx._mul(pre, pre) ^ pre
+            while img:
+                row = rows.get(img.bit_length() - 1)
+                if row is None:
+                    rows[img.bit_length() - 1] = (img, pre)
+                    break
+                img ^= row[0]
+                pre ^= row[1]
+        ctx._as_basis = rows
+    return ctx._as_basis
 
 
 def absolute_trace(e):
@@ -643,7 +741,7 @@ def absolute_trace(e):
     for _ in range(e.ctx.n - 1):
         cur = frobenius(cur, 1)
         acc = acc + cur
-    return acc.coeffs[0]
+    return acc.v
 
 
 def subfield_embed(e, super_ctx):
@@ -658,9 +756,9 @@ def subfield_embed(e, super_ctx):
     if super_ctx.n % sub.n != 0:
         raise ValueError(f"no embedding {sub} -> {super_ctx}: degree does not divide")
     if sub.n == super_ctx.n:
-        return super_ctx.element(e.coeffs)
+        return super_ctx.element(e)
     if sub.n == 1:
-        return super_ctx.scalar(e.coeffs[0])
+        return super_ctx.scalar(e.v)
     powers = super_ctx._embed_cache.get(sub.n)
     if powers is None:
         root = _embedding_root(sub, super_ctx)
@@ -687,7 +785,7 @@ def _embedding_root(sub, super_ctx):
         acc = super_ctx.zero
         for c in reversed(mod):
             acc = acc * x + c
-        if acc.is_zero() and (best is None or x.canon < best.canon):
+        if acc.is_zero() and (best is None or x.v < best.v):
             best = x
     if best is None:
         raise RuntimeError(f"no root of {sub} modulus in {super_ctx}")  # unreachable
@@ -701,7 +799,7 @@ def _embedding_root(sub, super_ctx):
 def element_to_str(e):
     ctx = e.ctx
     if ctx.n == 1:
-        return str(e.coeffs[0])
+        return str(e.v)
     return f"{ctx.p}^{ctx.n}:" + ",".join(str(c) for c in e.coeffs)
 
 
@@ -715,7 +813,7 @@ def element_from_str(s, ctx=None):
         p_str, _, n_str = head.partition("^")
         p, n = int(p_str), int(n_str)
         target = field_create(p, n)
-        if ctx is not None and target != ctx:
+        if ctx is not None and target is not ctx:
             raise ValueError(f"element literal {s!r} does not live in {ctx}")
         coeffs = [int(t) for t in tail.split(",")]
         return target.element(coeffs)

@@ -4,6 +4,42 @@ from twistlab import gf
 from twistlab.autmap import CurveIsomorphism, transform_coefficients
 
 
+def schoolbook_mul(a, b, ctx):
+    """Product of two coefficient vectors of ctx, by polynomial arithmetic.
+
+    The field product before elements were stored as integers: multiply
+    the polynomials, reduce by the monic modulus, and take every
+    coefficient mod p.
+    """
+    p, n = ctx.p, ctx.n
+    if n == 1:
+        return ((a[0] * b[0]) % p,)
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    mod = ctx.modulus
+    for i in range(2 * n - 2, n - 1, -1):
+        c = out[i] % p
+        if c:
+            for j in range(n):
+                out[i - n + j] -= c * mod[j]
+        out[i] = 0
+    return tuple(c % p for c in out[:n])
+
+
+def schoolbook_pow(a, e, ctx):
+    """a^e on coefficient vectors by square-and-multiply over schoolbook_mul."""
+    result = (1,) + (0,) * (ctx.n - 1)
+    while e:
+        if e & 1:
+            result = schoolbook_mul(result, a, ctx)
+        a = schoolbook_mul(a, a, ctx)
+        e >>= 1
+    return result
+
+
 def exhaustive_isomorphisms(E1, E2, field):
     """Isomorphism search by direct parameter scan; oracle for small fields.
 

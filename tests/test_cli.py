@@ -166,6 +166,20 @@ def test_limit_flag_leaves_environment_unchanged(monkeypatch, capsys, preset):
         assert os.environ.get(gf.LIMIT_ENV_VAR) == preset
 
 
+def test_limit_flag_reaches_the_command_without_the_environment(monkeypatch):
+    seen = []
+
+    def probe(cfg):
+        seen.append((os.environ.get(gf.LIMIT_ENV_VAR), gf.working_limit()))
+        return cli.EXIT_OK
+
+    monkeypatch.delenv(gf.LIMIT_ENV_VAR, raising=False)
+    monkeypatch.setitem(cli._COMMANDS, "census", probe)
+    assert cli.main(["census", "--p", "2", "--limit", "100"]) == cli.EXIT_OK
+    assert seen == [(None, 100)]
+    assert gf.working_limit() == gf.DEFAULT_LIMIT
+
+
 def test_census_respects_field_limit(monkeypatch, capsys):
     monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
     rc, out = run(["census", "--p", "3", "--n", "3"], capsys)

@@ -14,6 +14,9 @@ F5 = gf.field_create(5)
 F7 = gf.field_create(7)
 F8 = gf.field_create(2, 3)
 F9 = gf.field_create(3, 2)
+F25 = gf.field_create(5, 2)
+F27 = gf.field_create(3, 3)
+F32 = gf.field_create(2, 5)
 
 
 def _naive_points(E):
@@ -37,6 +40,13 @@ def _naive_points(E):
     (F8, (0, 0, 1, 1, 0)),
     (F5, (0, 0, 0, 1, 1)),
     (F7, (1, 1, 1, 1, 1)),
+    (F32, (1, 0, 0, 0, 1)),
+    (F32, (1, 1, 1, 1, 1)),
+    (F32, (0, 0, 1, 1, 0)),
+    (F27, (0, 1, 0, 0, 1)),
+    (F27, (1, 2, 1, 0, 1)),
+    (F25, (0, 0, 0, 1, 1)),
+    (F25, (1, 0, 1, 2, 3)),
 ])
 def test_points_match_naive_scan(ctx, coeffs):
     E = WeierstrassCurve(ctx, *coeffs)
@@ -198,3 +208,29 @@ def test_trace_consistency():
               from_short(F7, 1, 3)):
         assert E.trace_of_frobenius() == E.ctx.q + 1 - E.point_count()
         assert abs(E.trace_of_frobenius()) <= 2 * math.isqrt(4 * E.ctx.q) / 2
+
+
+@pytest.mark.parametrize("p,n,coeffs", [
+    (2, 8, (1, 1, 0, 0, 1)),
+    (3, 5, (0, 1, 0, 0, 2)),
+    (5, 3, (0, 0, 0, 1, 1)),
+    (1021, 1, (0, 0, 0, 3, 7)),
+])
+def test_twisted_pair_counts_sum_to_2q_plus_2(p, n, coeffs):
+    # a curve and its quadratic (Artin-Schreier for p = 2) twist have
+    # traces of opposite sign, so N + N' = 2q + 2
+    from twistlab import twists
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *coeffs)
+    assert E.is_smooth()
+    elements = gf.enumerate_field(K)
+    if p == 2:
+        d = next(x for x in elements if gf.absolute_trace(x) == 1)
+        twin = twists.artin_schreier_twist(E, d)
+    else:
+        d = next(x for x in elements if not gf.is_square(x))
+        twin = twists.quadratic_twist(E, d)
+    N, N_twin = E.point_count(), twin.point_count()
+    assert N + N_twin == 2 * K.q + 2
+    assert (K.q + 1 - N) ** 2 <= 4 * K.q
+    assert all(E.contains(P) for P in E.enumerate_points())
