@@ -11,19 +11,17 @@ is deterministic, and `field_create` caches one context per (p, n): a
 field is identified by its context object.
 
 Kernels.  Each context carries int-level kernels chosen by its kind
-(they live in `twistlab.gfkernels`, loaded with the first field):
+(they live in `twistlab.gfkernels`):
 
 - prime fields: native int arithmetic mod p, with the built-in `pow` for
   powers, inverses and Euler's criterion;
 - p = 2, n > 1: addition is XOR, and the product is a shift-and-XOR
   carry-less multiply reduced by the modulus;
-- odd p, n = 2: products and inverses by formula, since the modulus is
-  always x^2 + m0;
-- odd p, n > 2: Kronecker substitution.  The digit vectors are packed
-  into wide bit slots, multiplied as one int, folded by the modulus and
-  reduced mod p in every slot at once;
-- odd p, n > 1: sums and differences digit by digit, several digits per
-  step through small tables when p <= 7.
+- odd p, n > 1: Kronecker substitution for products.  The digit vectors
+  are packed into wide bit slots, multiplied as one int, folded by the
+  modulus and reduced mod p in every slot at once.  Sums and differences
+  go digit by digit, several digits per step through small tables when
+  p <= 7.
 
 Tables.  Following the lookup-table design of the `galois` library
 (https://github.com/mhostetter/galois), the first enumeration of a field,
@@ -34,13 +32,15 @@ products, inverses and powers in GF(p^n), n > 1, are table lookups, odd-p
 sums go through the Zech logs, and `is_square`, `sqrt`, `nth_roots` and
 the discrete log read the log table.  Fields used only for roots, linear
 algebra and embeddings are never tabled; their discrete logs use
-baby-step giant-step.  Importing the module builds nothing and leaves
-the kernels unloaded.
+baby-step giant-step.  Importing the module creates no field and builds
+no table.
 """
 
 import contextvars
 import math
 import os
+
+from . import gfkernels
 
 DEFAULT_LIMIT = 1 << 22
 SPLIT_LIMIT = 1 << 24
@@ -286,14 +286,10 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._as_basis = None
-        from . import gfkernels
-
         if n == 1:
             gfkernels.prime_kernels(self)
         elif p == 2:
             gfkernels.binary_kernels(self)
-        elif n == 2:
-            gfkernels.quadratic_kernels(self)
         else:
             gfkernels.packed_kernels(self)
 
@@ -478,8 +474,6 @@ def enumerate_field(ctx):
     at the same time.
     """
     if ctx._elements is None:
-        from . import gfkernels
-
         gfkernels.table_kernels(ctx, generator(ctx).v)
         ctx._elements = [FieldElem(ctx, k) for k in range(ctx.q)]
     return list(ctx._elements)

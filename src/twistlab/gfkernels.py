@@ -3,8 +3,8 @@
 Each `*_kernels(ctx)` function fills a context's `_add`, `_sub`, `_neg`,
 `_mul`, `_inv` and `_pow` (see `gf.FieldCtx`).  `table_kernels` builds a
 field's exp/log tables once it has been enumerated and, for n > 1, moves
-its kernels onto lookups.  The module docstring of `twistlab.gf`
-describes the encoding and when each set is used.
+its products, inverses and powers onto lookups.  The module docstring of
+`twistlab.gf` describes the encoding and when each set is used.
 """
 
 from array import array
@@ -60,31 +60,8 @@ def binary_kernels(ctx):
     ctx._pow = power
 
 
-def quadratic_kernels(ctx):
-    """GF(p^2) for odd p: products and inverses by formula.
-
-    The smallest modulus is always x^2 + m0 (some -m0 in [1, p) is a
-    non-residue), so x^2 = -m0, and the inverse of a0 + a1*x is
-    (a0 - a1*x) / (a0^2 + m0*a1^2).
-    """
-    p = ctx.p
-    m0 = ctx.modulus[0]
-
-    def mul(a, b):
-        a1, a0 = divmod(a, p)
-        b1, b0 = divmod(b, p)
-        return (a0 * b1 + a1 * b0) % p * p + (a0 * b0 - m0 * a1 * b1) % p
-
-    def inv(a):
-        a1, a0 = divmod(a, p)
-        norm_inv = pow(a0 * a0 + m0 * a1 * a1, -1, p)
-        return -a1 * norm_inv % p * p + a0 * norm_inv % p
-
-    _odd_kernels(ctx, mul, inv)
-
-
 def packed_kernels(ctx):
-    """Kronecker-substitution kernels for odd p and n > 2.
+    """Kronecker-substitution kernels for odd p and n > 1.
 
     An element's digits go into slots of w bits.  A product of two packed
     elements holds the product polynomial's coefficients slot by slot;
@@ -154,17 +131,12 @@ def packed_kernels(ctx):
 
     power = _square_and_multiply(mul)
     qm2 = ctx.q - 2
-    _odd_kernels(ctx, mul, lambda a: power(a, qm2))
-
-
-def _odd_kernels(ctx, mul, inv):
-    """Install an odd-p extension's product and inverse with digit-wise sums."""
-    add, sub = _digitwise_kernels(ctx.p)
+    add, sub = _digitwise_kernels(p)
     ctx._add, ctx._sub = add, sub
     ctx._neg = lambda a: sub(0, a)
     ctx._mul = mul
-    ctx._inv = inv
-    ctx._pow = _square_and_multiply(mul)
+    ctx._inv = lambda a: power(a, qm2)
+    ctx._pow = power
 
 
 _DIGITWISE = {}
@@ -241,6 +213,7 @@ def table_kernels(ctx, g):
 
     exp has 2(q - 1) entries, so a sum of two logs needs no reduction.
     Prime fields keep their native kernels and use the tables for roots.
+    For odd p, sums, differences and negation go through Zech logs.
     """
     p, q = ctx.p, ctx.q
     qm1 = q - 1
