@@ -5,10 +5,23 @@ An isomorphism is the standard change of variables
     (x, y) |-> (u^2*x + r, u^3*y + u^2*s*x + t),  u != 0,
 
 with parameters in a field that may extend the curves' base field.  The
-constructor checks that the parameters transform the source coefficients
-exactly into the target coefficients; that identity proves the map carries
-every source point onto the target, so no isomorphism object can exist
-that is not one.
+identity transform_coefficients(source, u, r, s, t) == target proves that
+the map carries every source point onto the target, and every map here
+satisfies it.  Each map is either checked or derived:
+
+- checked: built from parameters that are new, through the public
+  constructor, which verifies the identity exactly.  These are the maps a
+  caller builds, the cores that `_reduced_isomorphisms` solves for,
+  `identity_map`, `minus_one_map` and `galois_apply` (whose identity holds
+  only when both curves are defined over `base`);
+- derived: built by `CurveIsomorphism._derived`, which does not re-verify,
+  from maps whose identity is already known.  The (u, r, s, t) maps form
+  a group under `_compose_params`, so `compose` and `invert` of maps that
+  satisfy the identity satisfy it too; `embed_isomorphism` applies a field
+  embedding, a ring homomorphism, to both sides of it; and
+  `reduction_isomorphism` defines its target as the transform's image.
+  `find_isomorphisms` composes its checked cores with two reduction maps
+  the same way.
 
 Automorphism groups are computed over the minimal extension carrying all
 of them, with a Cayley table by element index; structure analysis
@@ -39,17 +52,19 @@ def transform_coefficients(coeffs, u, r, s, t):
 class CurveIsomorphism:
     """A change of variables carrying one Weierstrass curve onto another.
 
-    Curves given over a subfield are base-changed into `field`; the
-    parameters must transform the source equation exactly into the target
-    equation.
+    The constructor is the checked path: curves given over a subfield are
+    base-changed into `field`, and the parameters must transform the
+    source equation exactly into the target equation, or ValueError is
+    raised.  `_derived` is the unchecked path for maps whose identity
+    follows from maps already checked (see the module docstring).
     """
 
     __slots__ = ("field", "source", "target", "u", "r", "s", "t")
 
     def __init__(self, field, source, target, u, r, s, t):
         self.field = field
-        self.source = source if source.ctx == field else source.base_change(field)
-        self.target = target if target.ctx == field else target.base_change(field)
+        self.source = source.base_change(field)
+        self.target = target.base_change(field)
         self.u = field.element(u)
         self.r = field.element(r)
         self.s = field.element(s)
@@ -61,6 +76,18 @@ class CurveIsomorphism:
         )
         if computed != self.target.coefficients:
             raise ValueError("parameters do not transform the source into the target")
+
+    @classmethod
+    def _derived(cls, field, source, target, u, r, s, t):
+        """A map whose identity is already proved; nothing is re-verified.
+
+        The curves must already be over `field` and the parameters be
+        elements of it.
+        """
+        f = object.__new__(cls)
+        f.field, f.source, f.target = field, source, target
+        f.u, f.r, f.s, f.t = u, r, s, t
+        return f
 
     def apply(self, point):
         """Image of a source point; None is the point at infinity."""
@@ -117,7 +144,7 @@ def identity_map(E, field=None):
 def minus_one_map(E, field=None):
     """The negation automorphism (x,y) |-> (x, -y - a1*x - a3)."""
     ctx = E.ctx if field is None else field
-    Ef = E if E.ctx == ctx else E.base_change(ctx)
+    Ef = E.base_change(ctx)
     return CurveIsomorphism(ctx, Ef, Ef, ctx.scalar(-1), 0, -Ef.a1, -Ef.a3)
 
 
@@ -125,7 +152,7 @@ def embed_isomorphism(f, field):
     """The same map viewed over an extension of its field of definition."""
     if field == f.field:
         return f
-    return CurveIsomorphism(
+    return CurveIsomorphism._derived(
         field,
         f.source.base_change(field),
         f.target.base_change(field),
@@ -144,7 +171,7 @@ def compose(f, g):
         g = embed_isomorphism(g, field)
     if g.target != f.source:
         raise ValueError("chain mismatch: g.target differs from f.source")
-    return CurveIsomorphism(
+    return CurveIsomorphism._derived(
         field, g.source, f.target, *_compose_params(f.params, g.params)
     )
 
@@ -163,7 +190,7 @@ def invert(f):
     r = -f.r * u_inv2
     s = -f.s * u_inv
     t = (f.s * f.r - f.t) * u_inv2 * u_inv
-    return CurveIsomorphism(f.field, f.target, f.source, u_inv, r, s, t)
+    return CurveIsomorphism._derived(f.field, f.target, f.source, u_inv, r, s, t)
 
 
 def galois_apply(f, base, k=1):
@@ -209,21 +236,22 @@ def reduction_isomorphism(E):
         s = a1 / 2
         params = (ctx.one, (a2 + s * s) / 3, s, a3 / 2)
     target = WeierstrassCurve(ctx, *transform_coefficients(E.coefficients, *params))
-    return CurveIsomorphism(ctx, E, target, *params)
+    return CurveIsomorphism._derived(ctx, E, target, *params)
 
 
 def _reduced_isomorphisms(R1, R2):
-    """All isomorphisms between two short models over their common field.
+    """Every isomorphism between two short models over their common field.
 
-    Solves the triangular coefficient system appropriate to the
-    characteristic and the j-class: first the unit u from a root-of-unity
-    style equation, then the additive parameters from linearized
-    equations.
+    A generator, so a caller that only asks whether the models are
+    isomorphic stops at the first solution.  Solves the triangular
+    coefficient system appropriate to the characteristic and the j-class:
+    first the unit u from a root-of-unity style equation, then the
+    additive parameters from linearized equations.  Each solution is a
+    checked map; the models must be smooth with one j-invariant.
     """
     ctx = R1.ctx
     p = ctx.p
     zero = ctx.zero
-    out = []
     if p == 2:
         if R1.a1.is_zero():
             # forms y^2 + a3*y = x^3 + a4*x + a6; constraints:
@@ -234,13 +262,13 @@ def _reduced_isomorphisms(R1, R2):
                     r = s * s
                     rhs = R2.a6 + u ** 6 * R1.a6 + r * R2.a4 + r ** 3
                     for t in gf.linearized_roots(R2.a3, rhs, k=1):
-                        out.append(CurveIsomorphism(ctx, R1, R2, u, r, s, t))
+                        yield CurveIsomorphism(ctx, R1, R2, u, r, s, t)
         else:
             # forms y^2 + x*y = x^3 + a2*x^2 + a6; u = 1, r = t = 0 forced,
             # a6 must agree, s from s^2 + s = a2S + a2T
             if R1.a6 == R2.a6:
                 for s in gf.artin_schreier_roots(R1.a2 + R2.a2):
-                    out.append(CurveIsomorphism(ctx, R1, R2, ctx.one, zero, s, zero))
+                    yield CurveIsomorphism(ctx, R1, R2, ctx.one, zero, s, zero)
     elif p == 3:
         if R1.a2.is_zero():
             # j = 0 forms y^2 = x^3 + a4*x + a6 with a4 != 0:
@@ -248,14 +276,14 @@ def _reduced_isomorphisms(R1, R2):
             for u in gf.nth_roots(R2.a4 / R1.a4, 4):
                 rhs = u ** 6 * R1.a6 - R2.a6
                 for r in gf.linearized_roots(R2.a4, rhs, k=1):
-                    out.append(CurveIsomorphism(ctx, R1, R2, u, r, zero, zero))
+                    yield CurveIsomorphism(ctx, R1, R2, u, r, zero, zero)
         else:
             # j != 0 forms y^2 = x^3 + a2*x^2 + a4*x + a6 with a2 != 0:
             #   u^2 = a2T/a2S, r determined, a6 relation checked
             for u in gf.nth_roots(R2.a2 / R1.a2, 2):
                 r = (R2.a4 - u ** 4 * R1.a4) / R2.a2
                 if R2.a6 == u ** 6 * R1.a6 - r * R2.a4 - r * r * R2.a2 - r ** 3:
-                    out.append(CurveIsomorphism(ctx, R1, R2, u, r, zero, zero))
+                    yield CurveIsomorphism(ctx, R1, R2, u, r, zero, zero)
     else:
         # forms y^2 = x^3 + A*x + B; r = s = t = 0 forced
         A_s, B_s = R1.a4, R1.a6
@@ -268,14 +296,18 @@ def _reduced_isomorphisms(R1, R2):
             candidates = gf.nth_roots((B_t * A_s) / (B_s * A_t), 2)
         for u in candidates:
             if u ** 4 * A_s == A_t and u ** 6 * B_s == B_t:
-                out.append(CurveIsomorphism(ctx, R1, R2, u, zero, zero, zero))
-    return out
+                yield CurveIsomorphism(ctx, R1, R2, u, zero, zero, zero)
 
 
 def find_isomorphisms(E1, E2, field):
     """All isomorphisms E1 -> E2 defined over `field`, canonically sorted.
 
-    Empty list means the curves are not isomorphic over `field`.
+    Empty list means the curves are not isomorphic over `field`.  Each
+    result is red2^-1 o core o red1, with red1 and red2 the reduction maps
+    of the two curves and core a checked solution of
+    `_reduced_isomorphisms`; its parameters are composed directly and the
+    result is a derived map.  The order is ascending `param_key`, so the
+    first entry is the same on every run.
     """
     if E1.ctx != E2.ctx:
         raise ValueError("curves must share a base field")
@@ -290,7 +322,10 @@ def find_isomorphisms(E1, E2, field):
     red1 = reduction_isomorphism(S)
     red2_inv = invert(reduction_isomorphism(T))
     isos = [
-        compose(red2_inv, compose(core, red1))
+        CurveIsomorphism._derived(
+            field, S, T,
+            *_compose_params(red2_inv.params, _compose_params(core.params, red1.params)),
+        )
         for core in _reduced_isomorphisms(red1.target, red2_inv.source)
     ]
     isos.sort(key=CurveIsomorphism.param_key)

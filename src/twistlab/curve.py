@@ -7,7 +7,9 @@ A curve is a long Weierstrass equation
 with coefficients in one FieldCtx.  Points are None (the point at
 infinity) or (x, y) tuples of field elements.  Everything here is exact
 and exhaustive; the fields in scope are small enough that per-x-column
-point enumeration is the right tool.
+point enumeration is the right tool.  A curve is never changed after
+construction, so its discriminant, j-invariant and points are each
+computed once, on first use.
 """
 
 from . import gf
@@ -16,7 +18,7 @@ from . import gf
 class WeierstrassCurve:
     """A long Weierstrass equation over a fixed finite field."""
 
-    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_points")
+    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_disc", "_j", "_points")
 
     def __init__(self, ctx, a1, a2, a3, a4, a6):
         self.ctx = ctx
@@ -25,6 +27,8 @@ class WeierstrassCurve:
             e = ctx.element(a)
             coeffs.append(e)
         self.a1, self.a2, self.a3, self.a4, self.a6 = coeffs
+        self._disc = None
+        self._j = None
         self._points = None
 
     @property
@@ -60,18 +64,22 @@ class WeierstrassCurve:
         return c4, c6
 
     def discriminant(self):
-        b2, b4, b6, b8 = self.b_invariants()
-        return -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+        if self._disc is None:
+            b2, b4, b6, b8 = self.b_invariants()
+            self._disc = -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+        return self._disc
 
     def is_smooth(self):
         return not self.discriminant().is_zero()
 
     def j_invariant(self):
-        disc = self.discriminant()
-        if disc.is_zero():
-            raise ValueError("j-invariant undefined: singular equation")
-        c4, _ = self.c_invariants()
-        return (c4 ** 3) / disc
+        if self._j is None:
+            disc = self.discriminant()
+            if disc.is_zero():
+                raise ValueError("j-invariant undefined: singular equation")
+            c4, _ = self.c_invariants()
+            self._j = (c4 ** 3) / disc
+        return self._j
 
     # points
     def contains(self, point):
@@ -135,7 +143,9 @@ class WeierstrassCurve:
         return self.trace_of_frobenius() % self.ctx.p == 0
 
     def base_change(self, super_ctx):
-        """The same equation viewed over an extension field."""
+        """The same equation viewed over an extension field (self over its own)."""
+        if super_ctx is self.ctx:
+            return self
         return WeierstrassCurve(
             super_ctx, *(gf.subfield_embed(a, super_ctx) for a in self.coefficients)
         )

@@ -56,9 +56,12 @@ class TwistReport:
 def _short_grid(E, base):
     """Candidate curves over `base` sharing j(E), in canonical scan order.
 
-    Yields the short-form family fitting (p, j).  reduction_isomorphism
-    carries every smooth curve over `base` into that family over `base`
-    itself, so the family meets every twist class of E.
+    Yields the short-form family fitting (p, j): exactly the models that
+    `autmap.reduction_isomorphism` targets, so the reduction map of every
+    grid curve is the identity.  It carries every smooth curve over `base`
+    into that family over `base` itself, so the family meets every twist
+    class of E, and two grid curves of one j are isomorphic over `base`
+    exactly when `autmap._reduced_isomorphisms` has a solution for them.
     """
     p = base.p
     j = gf.subfield_embed(E.j_invariant(), base)
@@ -143,12 +146,15 @@ def enumerate_twists(E, base):
     Scans the short-form grid for curves with j(E), groups them into
     base-isomorphism classes (first hit in scan order represents the
     class) until the count from the twisted-class partition is reached,
-    then labels each representative with its Frobenius class.  Entries
-    follow the class order, trivial class first.
+    then labels each representative with its Frobenius class.  A grid
+    curve joins a known class when the reduced system for it and that
+    class's representative has a first solution over `base`; grid curves
+    are their own short models, so no reduction or composed map is built
+    for the test.  Entries follow the class order, trivial class first.
     """
     if base.p != E.ctx.p or base.n % E.ctx.n != 0:
         raise ValueError(f"{base} does not extend {E.ctx}")
-    E = E if E.ctx == base else E.base_change(base)
+    E = E.base_change(base)
     if not E.is_smooth():
         raise ValueError("twist enumeration requires a smooth curve")
     group, g_classes, class_degrees = _class_data(E, base)
@@ -164,7 +170,7 @@ def enumerate_twists(E, base):
             raise RuntimeError("coefficient scan exhausted the search budget")
         if not T.is_smooth() or T.j_invariant() != j:
             continue
-        if any(autmap.find_isomorphisms(R, T, base) for R in reps):
+        if any(next(autmap._reduced_isomorphisms(R, T), None) is not None for R in reps):
             continue
         reps.append(T)
         if len(reps) == want:
@@ -282,43 +288,46 @@ def j_zero_class_representatives(base):
         raise gf.LimitExceededError(
             f"census over {base} needs {nodes} grid nodes, limit {limit}"
         )
+    # the flood runs on canonical ints with the field's kernels, read after
+    # enumerate_field has tabled the field; only representatives become curves
     elements = gf.enumerate_field(base)
+    mul, add, sub = base._mul, base._add, base._sub
     basis = [base.gen() ** i for i in range(base.n)]
     g = gf.generator(base)
-    zero = base.zero
+    q_range = range(q)
     if p == 3:
         # nodes (a4, a6) of y^2 = x^3 + a4 x + a6
-        prefix = (zero, zero, zero)
-        starts = itertools.product(elements[1:], elements)
-        g4, g6 = g ** 4, g ** 6
-        shifts = [(r, r ** 3) for r in basis]
+        prefix = (0, 0, 0)
+        starts = itertools.product(q_range[1:], q_range)
+        g4, g6 = (g ** 4).v, (g ** 6).v
+        shifts = [(r.v, (r ** 3).v) for r in basis]
 
         def moves(node):
             a, b = node
-            yield g4 * a, g6 * b
+            yield mul(g4, a), mul(g6, b)
             for r, r3 in shifts:
-                yield a, b - r * a - r3
+                yield a, sub(sub(b, mul(r, a)), r3)
     else:
         # nodes (a3, a4, a6) of y^2 + a3 y = x^3 + a4 x + a6
-        prefix = (zero, zero)
-        starts = itertools.product(elements[1:], elements, elements)
-        g3, g4, g6 = g ** 3, g ** 4, g ** 6
-        shifts = [(s, s * s, s ** 4, s ** 6) for s in basis]
+        prefix = (0, 0)
+        starts = itertools.product(q_range[1:], q_range, q_range)
+        g3, g4, g6 = (g ** 3).v, (g ** 4).v, (g ** 6).v
+        shifts = [(s.v, (s * s).v, (s ** 4).v, (s ** 6).v) for s in basis]
 
         def moves(node):
             a3, a4, a6 = node
-            yield g3 * a3, g4 * a4, g6 * a6
+            yield mul(g3, a3), mul(g4, a4), mul(g6, a6)
             for s, s2, s4, s6 in shifts:
-                b4 = a4 + s * a3 + s4
-                yield a3, b4, a6 + s2 * b4 + s6
+                b4 = add(add(a4, mul(s, a3)), s4)
+                yield a3, b4, add(add(a6, mul(s2, b4)), s6)
             for t, t2, _, _ in shifts:
-                yield a3, a4, a6 + t * a3 + t2
+                yield a3, a4, add(add(a6, mul(t, a3)), t2)
     reps = []
     seen = set()
     for start in starts:
         if start in seen:
             continue
-        reps.append(WeierstrassCurve(base, *prefix, *start))
+        reps.append(WeierstrassCurve(base, *(elements[k] for k in prefix + start)))
         seen.add(start)
         stack = [start]
         while stack:

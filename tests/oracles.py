@@ -1,5 +1,7 @@
 """Reference implementations that only the tests compare against."""
 
+import functools
+
 from twistlab import gf
 from twistlab.autmap import CurveIsomorphism, transform_coefficients
 
@@ -86,3 +88,77 @@ def exhaustive_isomorphisms(E1, E2, field):
                         out.append(CurveIsomorphism(field, S, T, u, r, s, t))
     out.sort(key=CurveIsomorphism.param_key)
     return out
+
+
+def assert_transforms(f):
+    """f's parameters carry its source equation exactly onto its target.
+
+    The identity the isomorphism constructor checks, asserted for maps the
+    library derives without checking it.
+    """
+    assert f.source.ctx is f.field and f.target.ctx is f.field
+    computed = transform_coefficients(f.source.coefficients, *f.params)
+    assert computed == f.target.coefficients, f
+
+
+# integer polynomials in (a1, a2, a3, a4, a6): {exponent tuple: coefficient}
+
+def _poly_mul(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_lin(*terms):
+    """Sum of c * f over (c, f) pairs."""
+    out = {}
+    for c, f in terms:
+        for m, k in f.items():
+            out[m] = out.get(m, 0) + c * k
+    return {m: k for m, k in out.items() if k}
+
+
+@functools.lru_cache(maxsize=None)
+def _c4_and_discriminant():
+    """c4 and the discriminant over Z, the latter as (c4^3 - c6^2) / 1728.
+
+    This route never uses b8 or the b-invariant discriminant formula of
+    `curve`; the division is exact over Z, so the result is valid in every
+    characteristic once its coefficients are reduced.
+    """
+    a1, a2, a3, a4, a6 = (
+        {tuple(int(i == k) for i in range(5)): 1} for k in range(5)
+    )
+    b2 = _poly_lin((1, _poly_mul(a1, a1)), (4, a2))
+    b4 = _poly_lin((2, a4), (1, _poly_mul(a1, a3)))
+    b6 = _poly_lin((1, _poly_mul(a3, a3)), (4, a6))
+    b2b2 = _poly_mul(b2, b2)
+    c4 = _poly_lin((1, b2b2), (-24, b4))
+    c6 = _poly_lin((-1, _poly_mul(b2b2, b2)), (36, _poly_mul(b2, b4)), (-216, b6))
+    num = _poly_lin((1, _poly_mul(_poly_mul(c4, c4), c4)), (-1, _poly_mul(c6, c6)))
+    assert all(c % 1728 == 0 for c in num.values())
+    return c4, {m: c // 1728 for m, c in num.items()}
+
+
+def _evaluate(poly, coeffs):
+    ctx = coeffs[0].ctx
+    acc = ctx.zero
+    for m, c in poly.items():
+        term = ctx.scalar(c)
+        for a, e in zip(coeffs, m):
+            term = term * a ** e
+        acc = acc + term
+    return acc
+
+
+def discriminant_oracle(E):
+    return _evaluate(_c4_and_discriminant()[1], E.coefficients)
+
+
+def j_invariant_oracle(E):
+    """c4^3 / discriminant, or None for a singular equation."""
+    c4, disc = (_evaluate(f, E.coefficients) for f in _c4_and_discriminant())
+    return None if disc.is_zero() else c4 ** 3 / disc

@@ -1,11 +1,12 @@
 """Isomorphisms and automorphism groups across characteristics."""
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from twistlab import autmap, gf, twists
 from twistlab.curve import WeierstrassCurve, from_short
 
-from oracles import exhaustive_isomorphisms
+from oracles import assert_transforms, exhaustive_isomorphisms
 
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
@@ -146,6 +147,18 @@ def test_abelian_structures():
     for o in S.element_orders:
         hist[o] = hist.get(o, 0) + 1
     assert hist == {1: 1, 2: 1, 3: 2, 6: 2}
+
+
+def test_galois_apply_rejects_curves_not_over_base():
+    # y^2 = x^3 + g*x over GF(9) is not defined over GF(3), so the conjugate
+    # of the shift x -> x + g does not carry it onto its image
+    g = F9.gen()
+    E = WeierstrassCurve(F9, 0, 0, 0, g, 0)
+    params = (F9.one, g, F9.zero, F9.zero)
+    L = WeierstrassCurve(F9, *autmap.transform_coefficients(E.coefficients, *params))
+    f = autmap.CurveIsomorphism(F9, E, L, *params)
+    with pytest.raises(ValueError):
+        autmap.galois_apply(f, F3)
 
 
 def test_compose_matches_cayley_table(G12, G24):
@@ -354,9 +367,27 @@ def _model_and_twists(k):
     ]
 
 
+def _assert_derived_maps(f, base, automorphisms, bigger):
+    """The identity holds for f and for every map derived from it."""
+    f_inv = autmap.invert(f)
+    for h in (
+        f,
+        f_inv,
+        autmap.compose(f_inv, f),
+        autmap.galois_apply(f, base),
+        autmap.embed_isomorphism(f, bigger),
+        *(autmap.compose(f, a) for a in automorphisms),
+    ):
+        assert_transforms(h)
+
+
 @pytest.mark.parametrize("p,n", FIELDS_TO_81)
 def test_reduction_and_twist_isomorphisms_map_points(p, n):
+    # the maps the library derives without re-checking (invert, compose,
+    # embed_isomorphism, reduction_isomorphism, find_isomorphisms) and the
+    # checked galois_apply also carry their source exactly onto their target
     K = gf.field_create(p, n)
+    bigger = gf.field_create(p, 2 * n)
     g = gf.generator(K)
     for E, _ in _model_and_twists(K):
         # a long model of E, then its reduction back to the short family
@@ -364,12 +395,52 @@ def test_reduction_and_twist_isomorphisms_map_points(p, n):
         L = WeierstrassCurve(K, *autmap.transform_coefficients(E.coefficients, u, r, s, t))
         _assert_maps_points(autmap.CurveIsomorphism(K, E, L, u, r, s, t))
         _assert_maps_points(autmap.reduction_isomorphism(L))
+        for C in (E, L):
+            assert_transforms(autmap.reduction_isomorphism(C))
     # twists over the prime field, and over GF(p^2) when it lies in K,
     # mapped over K
     for d in (1, 2):
         if n % d:
             continue
-        for E, curves in _model_and_twists(gf.field_create(p, d)):
+        k = gf.field_create(p, d)
+        for E, curves in _model_and_twists(k):
+            # automorphisms over k, composed after maps over K
+            automorphisms = autmap.find_isomorphisms(E, E, k)
             for T in curves:
                 for iso in autmap.find_isomorphisms(E, T, K):
                     _assert_maps_points(iso)
+                    _assert_derived_maps(iso, k, automorphisms, bigger)
+
+
+def _random_element(data, K, nonzero=False):
+    return K.from_canon(data.draw(st.integers(1 if nonzero else 0, K.q - 1)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (1021, 1)], ids=["2^8", "3^5", "1021"])
+@given(data=st.data())
+def test_derived_maps_satisfy_the_identity_on_random_models(p, n, data):
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *(_random_element(data, K) for _ in range(5)))
+    assume(E.is_smooth())
+    params = (_random_element(data, K, nonzero=True),
+              *(_random_element(data, K) for _ in range(3)))
+    L = WeierstrassCurve(K, *autmap.transform_coefficients(E.coefficients, *params))
+    f = autmap.CurveIsomorphism(K, E, L, *params)
+    isos = autmap.find_isomorphisms(E, L, K)
+    assert f in isos
+    for h in isos:
+        assert_transforms(h)
+    for C in (E, L):
+        red = autmap.reduction_isomorphism(C)
+        assert_transforms(red)
+        # L -> E -> R_E and E -> L -> R_L
+        assert_transforms(autmap.compose(red, autmap.invert(f) if C is E else f))
+    automorphisms = autmap.find_isomorphisms(E, E, K)
+    _assert_derived_maps(f, K, automorphisms, gf.field_create(p, 2 * n))
+    # a curve over the prime field, with its automorphisms over K
+    k = gf.field_create(p)
+    E0 = WeierstrassCurve(k, *(_random_element(data, k) for _ in range(5)))
+    assume(E0.is_smooth())
+    for a in autmap.find_isomorphisms(E0, E0, K):
+        assert_transforms(a)
+        assert_transforms(autmap.galois_apply(a, k))

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twistlab import gf
 from twistlab.curve import WeierstrassCurve, from_short
+
+from oracles import discriminant_oracle, j_invariant_oracle
 
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
@@ -184,6 +187,38 @@ def test_base_change():
     assert E9.point_count() == len(_naive_points(E9))
     with pytest.raises(ValueError):
         E.base_change(gf.field_create(3, 3)).base_change(F9)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (3, 1), (3, 5), (5, 3), (1021, 1)])
+@given(data=st.data())
+def test_cached_invariants_match_the_formula_oracle(p, n, data):
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(
+        K, *(K.from_canon(data.draw(st.integers(0, K.q - 1))) for _ in range(5)))
+    want_disc, want_j = discriminant_oracle(E), j_invariant_oracle(E)
+    for _ in range(2):  # computed, then cached
+        assert E.discriminant() == want_disc
+        assert E.is_smooth() == (want_j is not None)
+        if want_j is None:
+            with pytest.raises(ValueError):
+                E.j_invariant()
+        else:
+            assert E.j_invariant() == want_j
+
+
+def test_singular_j_invariant_raises_every_time():
+    E = WeierstrassCurve(F5, 0, 0, 0, 0, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            E.j_invariant()
+    assert E.discriminant().is_zero()
+
+
+def test_base_change_to_own_field_is_identity():
+    E = WeierstrassCurve(F9, 0, 1, 0, 0, 2)
+    j = E.j_invariant()
+    assert E.base_change(F9) is E
+    assert E.base_change(E.ctx).j_invariant() is j
 
 
 def test_from_short_conventions():

@@ -137,6 +137,40 @@ def test_labelling_searches_only_class_split_degrees(E, monkeypatch):
         assert tried == sorted(d for d in class_degrees if d <= e.split_degree)
 
 
+def _grid_sources(K):
+    """A j = 0 curve, a j = 1728 curve when p >= 5, and a generic curve."""
+    if K.p == 2:
+        return [WeierstrassCurve(K, 0, 0, 1, 0, 0), WeierstrassCurve(K, 1, 0, 0, 0, 1)]
+    if K.p == 3:
+        return [WeierstrassCurve(K, 0, 0, 0, -1, 0), WeierstrassCurve(K, 0, 1, 0, 0, -1)]
+    generic = next(
+        C for C in (from_short(K, 1, b) for b in range(1, K.p))
+        if C.is_smooth() and C.j_invariant() not in (0, 1728)
+    )
+    return [from_short(K, 0, 1), from_short(K, 1, 0), generic]
+
+
+@pytest.mark.parametrize("K", [F2, F4, F8, F3, F9, F5, F7, F13], ids=repr)
+def test_grid_first_solution_decides_base_isomorphism(K):
+    # enumerate_twists tests R ~ T over the base by the first solution of
+    # the reduced system; that must agree with find_isomorphisms on every
+    # pair of grid curves of one j.  The j = 0 family over GF(8) has 448
+    # curves, so there R runs over every 64th of them (T over all).
+    for E in _grid_sources(K):
+        j = E.j_invariant()
+        grid = [T for T in twists._short_grid(E, K) if T.is_smooth() and T.j_invariant() == j]
+        for T in grid:
+            # the grid curves are their own short models
+            assert autmap.reduction_isomorphism(T).is_identity()
+        outcomes = set()
+        for R in grid if len(grid) < 100 else grid[::64]:
+            for T in grid:
+                first = next(autmap._reduced_isomorphisms(R, T), None) is not None
+                assert first == bool(autmap.find_isomorphisms(R, T, K)), (R, T)
+                outcomes.add(first)
+        assert outcomes == ({True, False} if len(grid) > 1 else {True})
+
+
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
                    reason="(Fr psi)^-1 o psi is not a cocycle value in "
                           "twistcoh's convention; psi^-1 o Fr(psi) is")
