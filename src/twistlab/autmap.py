@@ -242,12 +242,12 @@ def reduction_isomorphism(E):
 def _reduced_isomorphisms(R1, R2):
     """Every isomorphism between two short models over their common field.
 
-    A generator, so a caller that only asks whether the models are
-    isomorphic stops at the first solution.  Solves the triangular
-    coefficient system appropriate to the characteristic and the j-class:
-    first the unit u from a root-of-unity style equation, then the
-    additive parameters from linearized equations.  Each solution is a
-    checked map; the models must be smooth with one j-invariant.
+    Solves the triangular coefficient system appropriate to the
+    characteristic and the j-class: first the unit u from a root-of-unity
+    style equation, then the additive parameters from linearized
+    equations.  Each solution is a checked map; the models must be smooth
+    with one j-invariant.  `find_isomorphisms`, the only caller, takes
+    every solution.
     """
     ctx = R1.ctx
     p = ctx.p

@@ -25,7 +25,7 @@ Kernels.  Each context carries int-level kernels chosen by its kind
 
 Tables.  Following the lookup-table design of the `galois` library
 (https://github.com/mhostetter/galois), the first enumeration of a field,
-an O(q) cost its caller pays anyway (point counts, grid scans, the
+an O(q) cost its caller pays anyway (point counts, orbit floods, the
 census), builds exp and log tables over the canonical generator, stored
 as compact arrays, plus Zech logs when p is odd and n > 1.  From then on
 products, inverses and powers in GF(p^n), n > 1, are table lookups, odd-p

@@ -3,7 +3,8 @@
 import functools
 
 from twistlab import gf
-from twistlab.autmap import CurveIsomorphism, transform_coefficients
+from twistlab.autmap import CurveIsomorphism, find_isomorphisms, transform_coefficients
+from twistlab.curve import WeierstrassCurve
 
 
 def schoolbook_mul(a, b, ctx):
@@ -88,6 +89,55 @@ def exhaustive_isomorphisms(E1, E2, field):
                         out.append(CurveIsomorphism(field, S, T, u, r, s, t))
     out.sort(key=CurveIsomorphism.param_key)
     return out
+
+
+def short_grid(E, base):
+    """The short models over `base` sharing j(E), by a full coefficient scan.
+
+    Each short-form shape that `autmap.reduction_isomorphism` targets for
+    (p, j) has its free coefficients run over the field in canonical
+    order; the smooth curves with j(E) are yielded.  Reference for
+    `twists._short_family`.
+    """
+    p = base.p
+    j = E.base_change(base).j_invariant()
+    elements = gf.enumerate_field(base)
+    nonzero = elements[1:]
+    zero, one = base.zero, base.one
+    if p == 2 and j.is_zero():
+        grid = ((zero, zero, a3, a4, a6)
+                for a3 in nonzero for a4 in elements for a6 in elements)
+    elif p == 2:
+        grid = ((one, a2, zero, zero, j.inv()) for a2 in elements)
+    elif p == 3 and j.is_zero():
+        grid = ((zero, zero, zero, a4, a6) for a4 in nonzero for a6 in elements)
+    elif p == 3:
+        grid = ((zero, a2, zero, a4, a6)
+                for a2 in nonzero for a4 in elements for a6 in elements)
+    elif j.is_zero():
+        grid = ((zero, zero, zero, zero, a6) for a6 in nonzero)
+    elif j == 1728:
+        grid = ((zero, zero, zero, a4, zero) for a4 in nonzero)
+    else:
+        grid = ((zero, zero, zero, a4, a6) for a4 in nonzero for a6 in nonzero)
+    for coeffs in grid:
+        T = WeierstrassCurve(base, *coeffs)
+        if T.is_smooth() and T.j_invariant() == j:
+            yield T
+
+
+def grid_class_representatives(E, base):
+    """The first `short_grid` curve of each base-isomorphism class.
+
+    A grid curve starts a new class unless `find_isomorphisms` over `base`
+    links it to an earlier representative.  Reference for
+    `twists._class_representatives`.
+    """
+    reps = []
+    for T in short_grid(E, base):
+        if not any(find_isomorphisms(R, T, base) for R in reps):
+            reps.append(T)
+    return reps
 
 
 def assert_transforms(f):

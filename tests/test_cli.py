@@ -196,6 +196,14 @@ def test_field_limit_blocks_base_field_creation(monkeypatch, capsys):
     assert rc == 2
 
 
+def test_split_limit_exits_before_the_flood(monkeypatch):
+    def unreachable(*args):
+        pytest.fail("the flood ran before the split-limit check")
+
+    monkeypatch.setattr(twists, "_class_representatives", unreachable)
+    assert cli.main(["twists", "--p", "2", "--n", "6", "--curve", "0,0,1,0,0"]) == 2
+
+
 def test_repro_all_pass(capsys):
     rc, doc = run_json(["repro"], capsys)
     assert rc == 0

@@ -8,6 +8,8 @@ import pytest
 from twistlab import autmap, gf, twistcoh, twists
 from twistlab.curve import WeierstrassCurve, from_short
 
+from oracles import grid_class_representatives, short_grid
+
 GOLDEN = Path(__file__).parent / "golden"
 
 F2 = gf.field_create(2)
@@ -150,25 +152,69 @@ def _grid_sources(K):
     return [from_short(K, 0, 1), from_short(K, 1, 0), generic]
 
 
-@pytest.mark.parametrize("K", [F2, F4, F8, F3, F9, F5, F7, F13], ids=repr)
-def test_grid_first_solution_decides_base_isomorphism(K):
-    # enumerate_twists tests R ~ T over the base by the first solution of
-    # the reduced system; that must agree with find_isomorphisms on every
-    # pair of grid curves of one j.  The j = 0 family over GF(8) has 448
-    # curves, so there R runs over every 64th of them (T over all).
+FLOOD_FIELDS = [F2, F4, F8, F3, F9, F5, F7, F13]
+
+
+def _family_order(K, j):
+    """Order of the group of isomorphisms over K that keep the short shape."""
+    q = K.q
+    if K.p == 2:
+        return (q - 1) * q * q if j == 0 else q
+    return (q - 1) * q if K.p == 3 else q - 1
+
+
+@pytest.mark.parametrize("K", FLOOD_FIELDS, ids=repr)
+def test_flood_matches_grid_oracle(K):
+    for E in _grid_sources(K):
+        reps = twists._class_representatives(K, E.j_invariant())
+        assert reps == grid_class_representatives(E, K), E
+
+
+@pytest.mark.parametrize("K", FLOOD_FIELDS, ids=repr)
+def test_family_nodes_are_the_short_models(K):
     for E in _grid_sources(K):
         j = E.j_invariant()
-        grid = [T for T in twists._short_grid(E, K) if T.is_smooth() and T.j_invariant() == j]
-        for T in grid:
-            # the grid curves are their own short models
+        prefix, nodes, _ = twists._short_family(K, j)
+        curves = [WeierstrassCurve(K, *map(K.from_canon, prefix + node)) for node in nodes]
+        assert curves == list(short_grid(E, K)), E
+        for T in curves:
+            assert T.is_smooth() and T.j_invariant() == j
             assert autmap.reduction_isomorphism(T).is_identity()
-        outcomes = set()
-        for R in grid if len(grid) < 100 else grid[::64]:
-            for T in grid:
-                first = next(autmap._reduced_isomorphisms(R, T), None) is not None
-                assert first == bool(autmap.find_isomorphisms(R, T, K)), (R, T)
-                outcomes.add(first)
-        assert outcomes == ({True, False} if len(grid) > 1 else {True})
+
+
+@pytest.mark.parametrize("K", FLOOD_FIELDS, ids=repr)
+def test_orbit_stabilizer_certificate(K):
+    # an orbit of the moves times the stabilizer Aut_K(T) has the order of
+    # the whole shape-keeping group, so the moves reach every isomorphic
+    # model; the orbits partition the family
+    for E in _grid_sources(K):
+        j = E.j_invariant()
+        prefix, nodes, moves = twists._short_family(K, j)
+        sizes = []
+        for T in twists._class_representatives(K, j):
+            orbit = {tuple(a.canon for a in T.coefficients)[len(prefix):]}
+            stack = list(orbit)
+            while stack:
+                for nxt in moves(stack.pop()):
+                    if nxt not in orbit:
+                        orbit.add(nxt)
+                        stack.append(nxt)
+            stabilizer = len(autmap.find_isomorphisms(T, T, K))
+            assert len(orbit) * stabilizer == _family_order(K, j), T
+            sizes.append(len(orbit))
+        assert sum(sizes) == len(list(nodes)), E
+
+
+def test_split_fields_are_created_before_the_flood(monkeypatch):
+    # y^2 + y = x^3 over GF(2^6) has classes of split degree 8; GF(2^48)
+    # is over the split limit, and that must end the call before any flood
+    def unreachable(*args):
+        pytest.fail("the flood ran before the split-limit check")
+
+    monkeypatch.setattr(twists, "_class_representatives", unreachable)
+    F64 = gf.field_create(2, 6)
+    with pytest.raises(gf.LimitExceededError):
+        twists.enumerate_twists(WeierstrassCurve(F64, 0, 0, 1, 0, 0), F64)
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
@@ -415,7 +461,14 @@ def test_twist_report_json_schema(report3):
 
 
 def test_reports_match_golden_files(report3, report2, report4):
-    for name, report in (("twists_3_1", report3), ("twists_2_1", report2),
-                         ("twists_2_2", report4)):
+    reports = [("twists_3_1", report3), ("twists_2_1", report2),
+               ("twists_2_2", report4)]
+    # the ordinary p = 2, generic p = 3 and generic p >= 5 families
+    for name, (p, n, coeffs) in (("twists_2_4", (2, 4, (1, 0, 0, 0, 1))),
+                                 ("twists_3_4", (3, 4, (0, 1, 0, 0, 1))),
+                                 ("twists_1009_1", (1009, 1, (0, 0, 0, 2, 3)))):
+        K = gf.field_create(p, n)
+        reports.append((name, twists.enumerate_twists(WeierstrassCurve(K, *coeffs), K)))
+    for name, report in reports:
         want = json.loads((GOLDEN / f"{name}.json").read_text())
         assert twists.twist_report_json(report) == want, name
