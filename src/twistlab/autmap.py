@@ -397,6 +397,10 @@ class AutGroup:
         """Index of an automorphism with the same parameters, or None."""
         return self._index.get(f.param_key())
 
+    def index_of_key(self, key):
+        """Index of the automorphism whose `param_key` is key, or None."""
+        return self._index.get(key)
+
     def element_order(self, i):
         k = 1
         cur = i

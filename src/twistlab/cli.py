@@ -196,10 +196,10 @@ def _resolve_subgroup(action, text):
             raise UsageError(
                 f"generator field {field} is not the group field {group.field}"
             )
-        for g in group.elements:
-            if g.param_key() == key:
-                return twistcoh.cyclic_subgroup(action, g)
-        raise UsageError(f"{text} is not an automorphism of the curve")
+        index = group.index_of_key(key)
+        if index is None:
+            raise UsageError(f"{text} is not an automorphism of the curve")
+        return twistcoh.cyclic_subgroup(action, group.elements[index])
     return twistcoh.resolve_subgroup(action, text)
 
 
@@ -286,9 +286,7 @@ def _label_items(items, G3, G2):
         (G2, (3, 0, 0, 1), (gf.field_create(2, 1), gf.field_create(2, 2)),
          ["trivial", "nontrivial"]),
     ):
-        index = next(
-            k for k, g in enumerate(group.elements) if g.param_key() == key
-        )
+        index = group.index_of_key(key)
         for base, want in zip(bases, expected):
             A = twistcoh.frobenius_action(group, base)
             cls = next(

@@ -10,6 +10,12 @@ degree n (coefficient vector read as a base-p integer), so construction
 is deterministic, and `field_create` caches one context per (p, n): a
 field is identified by its context object.
 
+Modulus.  `field_create` walks the monic candidates with a nonzero
+constant term in that order.  Each candidate gets a context of its own,
+with the kernels below, and `_is_field` runs Rabin's irreducibility test
+in GF(p)[x]/(f) on those kernels; the first candidate that passes keeps
+its context, and no other candidate is cached.
+
 Kernels.  Each context carries int-level kernels chosen by its kind
 (they live in `twistlab.gfkernels`):
 
@@ -81,134 +87,66 @@ def split_limit():
 
 
 def is_prime(m):
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m > 1 and _factorize(m) == {m: 1}
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over GF(p), used for modulus construction only
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by monic mod
-    n = len(mod) - 1
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - c * mod[j]) % p
-    return _ptrim(out)
-
-
-def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b, b monic-normalized on the fly
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        while len(r) >= len(bm) and r:
-            c = r[-1]
-            if c:
-                shift = len(r) - len(bm)
-                for j in range(len(bm)):
-                    r[shift + j] = (r[shift + j] - c * bm[j]) % p
-            _ptrim(r)
-            if not r:
-                break
-            if len(r) < len(bm):
-                break
-        a, b = b, _ptrim(r)
-    return a
-
-
-def _is_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial over GF(p), coeffs ascending."""
-    n = len(coeffs) - 1
-    if n < 1 or coeffs[-1] != 1:
-        return False
-    if n == 1:
-        return True
-    mod = list(coeffs)
-    x = [0, 1]
-    # x^(p^n) == x (mod f)
-    if _ppowmod(x, p**n, mod, p) != x:
-        return False
-    # gcd(x^(p^(n/l)) - x, f) == 1 for every prime l | n
-    m = n
-    primes = []
+def _factorize(m):
+    """Prime factorization of m >= 1 by trial division, as {prime: exponent}."""
+    factors = {}
     d = 2
     while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
     if m > 1:
-        primes.append(m)
-    for ell in primes:
-        xp = _ppowmod(x, p ** (n // ell), mod, p)
-        diff = list(xp)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(mod, _ptrim(diff), p)
-        if len(g) != 1:
-            return False
-    return True
+        factors[m] = factors.get(m, 0) + 1
+    return factors
 
 
-def _smallest_modulus(p, n):
-    """Lexicographically smallest monic irreducible of degree n over GF(p)."""
+def _is_field(ctx):
+    """Rabin's test, run on ctx's own kernels: is its modulus f irreducible?
+
+    In R = GF(p)[x]/(f), X^(q-1) = 1 for the class X of x makes f a
+    squarefree product of irreducibles whose degrees divide n, so R is a
+    product of fields GF(p^d), d | n.  Then f is irreducible exactly when
+    X^(p^(n/l)) - X is a unit of R for every prime l | n, which is
+    Rabin's condition gcd(x^(p^(n/l)) - x, f) = 1.  A candidate context
+    is never tabled, so its `_pow` is square-and-multiply and takes any
+    base and exponent.
+
+    Written with the exponent q - 1, the second condition alone already
+    forces f to be irreducible, so no test can tell the first one apart.
+    It stays because the argument above rests on it, and it rejects most
+    reducible candidates with a single power.
+    """
+    p, n, qm1, power = ctx.p, ctx.n, ctx.q - 1, ctx._pow
+    x = p  # the canonical int of the class of x
+    if power(x, qm1) != 1:
+        return False
+    return all(
+        power(ctx._sub(power(x, p ** (n // ell)), x), qm1) == 1
+        for ell in _factorize(n)
+    )
+
+
+def _smallest_field(p, n):
+    """GF(p^n) over the smallest monic irreducible modulus of degree n.
+
+    Candidates are monic with a nonzero constant term, in the order of
+    their coefficient vectors read as base-p integers.
+    """
     if n == 1:
-        return (0, 1)  # x; elements of GF(p) are plain residues
-    for k in range(p**n):
-        digits = []
-        m = k
-        for _ in range(n):
-            digits.append(m % p)
-            m //= p
-        cand = digits + [1]
-        if cand[0] == 0:
-            continue  # divisible by x
-        if _is_irreducible(cand, p):
-            return tuple(cand)
+        return FieldCtx(p, 1, (0, 1))  # x; elements of GF(p) are plain residues
+    for k in range(1, p**n):
+        if k % p:
+            ctx = FieldCtx(p, n, _digits(k, p, n) + (1,))
+            if _is_field(ctx):
+                return ctx
+    # unreachable: every degree has a monic irreducible
     raise RuntimeError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
-_MODULUS_CACHE = {}
 _CTX_CACHE = {}
 
 
@@ -228,12 +166,7 @@ def field_create(p, n=1, limit=None):
         raise LimitExceededError(f"field size {p}^{n} = {q} exceeds limit {lim}")
     ctx = _CTX_CACHE.get((p, n))
     if ctx is None:
-        modulus = _MODULUS_CACHE.get((p, n))
-        if modulus is None:
-            modulus = _smallest_modulus(p, n)
-            _MODULUS_CACHE[(p, n)] = modulus
-        ctx = FieldCtx(p, n, modulus)
-        _CTX_CACHE[(p, n)] = ctx
+        ctx = _CTX_CACHE[(p, n)] = _smallest_field(p, n)
     return ctx
 
 
@@ -256,15 +189,16 @@ def _from_digits(digits, p):
 class FieldCtx:
     """A finite field GF(p^n) with a fixed polynomial-basis encoding.
 
-    Built only by `field_create`, which keeps one context per (p, n), so
-    contexts compare by identity.  `_add`, `_sub`, `_neg`, `_mul`, `_inv`
-    and `_pow` are the field's kernels on canonical ints; `_pow` takes a
-    nonzero base and an exponent already reduced mod q - 1.
+    `field_create` keeps one context per (p, n), so contexts compare by
+    identity; the candidate contexts it tests and rejects are discarded.
+    `_add`, `_sub`, `_neg`, `_mul`, `_inv` and `_pow` are the field's
+    kernels on canonical ints; `_pow` takes a nonzero base and an exponent
+    already reduced mod q - 1.
     """
 
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
-        "_generator", "_qm1_factors", "_baby_steps", "_baby_count",
+        "_generator", "_baby_steps", "_baby_count",
         "_giant_step", "_embed_cache", "_exp", "_log", "_as_basis",
         "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
     )
@@ -278,7 +212,6 @@ class FieldCtx:
         self._one = FieldElem(self, 1)
         self._elements = None
         self._generator = None
-        self._qm1_factors = None
         self._baby_steps = None
         self._baby_count = None
         self._giant_step = None
@@ -486,27 +419,12 @@ def frobenius(e, k=1):
     return e ** (e.ctx.p ** k)
 
 
-def _factorize(m):
-    factors = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
-
-
 def generator(ctx):
     """Canonically smallest generator of the unit group."""
     if ctx._generator is not None:
         return ctx._generator
     qm1 = ctx.q - 1
-    if ctx._qm1_factors is None:
-        ctx._qm1_factors = _factorize(qm1) if qm1 > 1 else {}
-    exponents = [qm1 // ell for ell in ctx._qm1_factors]
+    exponents = [qm1 // ell for ell in _factorize(qm1)]
     power = ctx._pow
     for k in range(1, ctx.q):
         if all(power(k, x) != 1 for x in exponents):

@@ -14,6 +14,8 @@ Phi * Fr(Phi) * ... * Fr^{j-1}(Phi); the cocycle identity
 v(j+k) = v(j) * Fr^j(v(k)) holds and is exercised by the tests.
 """
 
+import itertools
+
 from . import autmap, gf
 
 
@@ -135,14 +137,19 @@ class FrobClass:
 
 
 def frobenius_action(G, base):
-    """The q-power Frobenius of `base` as a permutation of G's elements."""
+    """The q-power Frobenius of `base` as a permutation of G's elements.
+
+    The curve is defined over `base`, so the Frobenius image of each
+    automorphism's parameters is again an automorphism: `galois_apply`
+    would check that identity, and here the images are only looked up.
+    """
     if base.p != G.field.p or G.field.n % base.n != 0:
         raise ValueError(f"{G.field} does not extend {base}")
     if any(gf.frobenius(a, base.n) != a for a in G.curve.coefficients):
         raise ValueError("curves are not defined over the declared base field")
     perm = []
     for f in G.elements:
-        k = G.index_of(autmap.galois_apply(f, base))
+        k = G.index_of_key(tuple(gf.frobenius(x, base.n).canon for x in f.params))
         if k is None:
             raise RuntimeError("Frobenius carries an automorphism outside the group")
         perm.append(k)
@@ -184,16 +191,18 @@ def cocycle_value(c, j):
     """Value of the cocycle at Fr^j; j = 0 gives the identity."""
     if not isinstance(j, int) or j < 0:
         raise ValueError(f"cocycle arguments are nonnegative integers, got {j}")
-    return c.action.group.elements[_cocycle_value_index(c, j)]
+    index = next(itertools.islice(_values(c), j - 1, None)) if j else 0
+    return c.action.group.elements[index]
 
 
-def _cocycle_value_index(c, j):
-    table = c.action.group.cayley
+def _values(c):
+    """The indices of v(1), v(2), ... by v(j+1) = v(1) * Fr(v(j)), without end."""
+    row = c.action.group.cayley[c.index]
     perm = c.action.perm
     value = 0
-    for _ in range(j):
-        value = table[c.index][perm[value]]
-    return value
+    while True:
+        value = row[perm[value]]
+        yield value
 
 
 def cocycle_order(c):
@@ -203,11 +212,7 @@ def cocycle_order(c):
     |G| * m; a search that runs past that bound is an internal fault.
     """
     bound = c.action.group.order * c.action.order
-    table = c.action.group.cayley
-    perm = c.action.perm
-    value = 0
-    for j in range(1, bound + 1):
-        value = table[c.index][perm[value]]
+    for j, value in enumerate(itertools.islice(_values(c), bound), 1):
         if value == 0:
             return j
     raise RuntimeError(f"{c!r} has no trivial value within {bound} steps")
@@ -245,11 +250,7 @@ def splitting_degree(c):
     bound = c.action.group.order * c.action.order
     coboundaries = _coboundary_sets(c.action)
     m = c.action.order
-    table = c.action.group.cayley
-    perm = c.action.perm
-    value = 0
-    for j in range(1, bound + 1):
-        value = table[c.index][perm[value]]
+    for j, value in enumerate(itertools.islice(_values(c), bound), 1):
         if value in coboundaries[j % m]:
             return j
     raise RuntimeError(f"{c!r} does not split within degree {bound}")

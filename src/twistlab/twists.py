@@ -170,6 +170,12 @@ def _class_data(E, base):
     return group, classes, [twistcoh.splitting_degree(c) for c in cocycles]
 
 
+def _fault(E, base, stage, what):
+    """An invariant failure that names the curve, the field and the stage."""
+    curve = ",".join(gf.element_to_str(a) for a in E.coefficients)
+    return RuntimeError(f"{stage} twists of {curve} over {base}: {what}")
+
+
 def _label_class(E, T, base, group, g_classes, degrees):
     """The class that labels T among the twists of E, plus its split degree.
 
@@ -181,7 +187,7 @@ def _label_class(E, T, base, group, g_classes, degrees):
     """
     d, isos = autmap.first_isomorphism_degree(E, T, degrees)
     if d is None:
-        raise RuntimeError(f"no isomorphism over split degrees {degrees}")
+        raise _fault(E, base, "labelling", f"no isomorphism over split degrees {degrees}")
     psi = isos[0]
     phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
     comp = gf.field_create(
@@ -194,11 +200,11 @@ def _label_class(E, T, base, group, g_classes, degrees):
             index = k
             break
     if index is None:
-        raise RuntimeError("twist label is not an automorphism of the source")
+        raise _fault(E, base, "labelling", "twist label is not an automorphism of the source")
     for cls in g_classes:
         if index in cls.indices:
             return cls, d
-    raise RuntimeError("automorphism missing from the class partition")
+    raise _fault(E, base, "labelling", "automorphism missing from the class partition")
 
 
 def enumerate_twists(E, base):
@@ -224,14 +230,14 @@ def enumerate_twists(E, base):
     want = len(g_classes)
     reps = _class_representatives(base, E.j_invariant(), want)
     if len(reps) < want:
-        raise RuntimeError(
-            f"short family exhausted with {len(reps)} of {want} classes found"
-        )
+        raise _fault(E, base, "flood",
+                     f"short family exhausted with {len(reps)} of {want} classes found")
     by_class = {}
     for T in reps:
         cls, degree = _label_class(E, T, base, group, g_classes, degrees)
         if cls.rep_index in by_class:
-            raise RuntimeError("two non-isomorphic curves received one class label")
+            raise _fault(E, base, "labelling",
+                         "two non-isomorphic curves received one class label")
         by_class[cls.rep_index] = TwistEntry(
             curve=T,
             frob_class=cls,

@@ -43,6 +43,124 @@ def schoolbook_pow(a, e, ctx):
     return result
 
 
+# dense polynomials over GF(p) as coefficient lists, ascending powers
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmulmod(a, b, mod, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    # reduce by monic mod
+    n = len(mod) - 1
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(n):
+                out[i - n + j] = (out[i - n + j] - c * mod[j]) % p
+    return _ptrim(out)
+
+
+def _ppowmod(a, e, mod, p):
+    result = [1]
+    base = list(a)
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, mod, p)
+        base = _pmulmod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
+def _pgcd(a, b, p):
+    a, b = list(a), list(b)
+    while b:
+        # a mod b, b monic-normalized on the fly
+        inv_lead = pow(b[-1], p - 2, p)
+        bm = [(c * inv_lead) % p for c in b]
+        r = list(a)
+        while len(r) >= len(bm) and r:
+            c = r[-1]
+            if c:
+                shift = len(r) - len(bm)
+                for j in range(len(bm)):
+                    r[shift + j] = (r[shift + j] - c * bm[j]) % p
+            _ptrim(r)
+            if not r:
+                break
+            if len(r) < len(bm):
+                break
+        a, b = b, _ptrim(r)
+    return a
+
+
+def is_irreducible(coeffs, p):
+    """Rabin's test for a monic polynomial over GF(p), coeffs ascending.
+
+    Polynomial arithmetic mod f with a gcd, as `gf` picked its moduli
+    before it ran the test on the field kernels.  Reference for
+    `gf._is_field`.
+    """
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[-1] != 1:
+        return False
+    if n == 1:
+        return True
+    mod = list(coeffs)
+    x = [0, 1]
+    # x^(p^n) == x (mod f)
+    if _ppowmod(x, p**n, mod, p) != x:
+        return False
+    # gcd(x^(p^(n/l)) - x, f) == 1 for every prime l | n
+    m = n
+    primes = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    for ell in primes:
+        xp = _ppowmod(x, p ** (n // ell), mod, p)
+        diff = list(xp)
+        while len(diff) < 2:
+            diff.append(0)
+        diff[1] = (diff[1] - 1) % p
+        g = _pgcd(mod, _ptrim(diff), p)
+        if len(g) != 1:
+            return False
+    return True
+
+
+def modulus_candidates(p, n):
+    """Monic degree-n candidates with a nonzero constant term, in order."""
+    for k in range(p**n):
+        digits = []
+        m = k
+        for _ in range(n):
+            digits.append(m % p)
+            m //= p
+        if digits[0]:
+            yield tuple(digits) + (1,)
+
+
+def smallest_modulus(p, n):
+    """Lexicographically smallest monic irreducible of degree n over GF(p)."""
+    if n == 1:
+        return (0, 1)
+    return next(c for c in modulus_candidates(p, n) if is_irreducible(c, p))
+
+
 def exhaustive_isomorphisms(E1, E2, field):
     """Isomorphism search by direct parameter scan; oracle for small fields.
 

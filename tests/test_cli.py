@@ -239,6 +239,18 @@ def test_internal_error_exits_4(monkeypatch, capsys):
         "internal error: two non-isomorphic curves received one class label\n")
 
 
+def test_invariant_failure_names_curve_field_and_stage(capsys):
+    # two twists of y^2 = x^3 + 2x + 1 over GF(3) receive one class label
+    # (the open label-convention defect), which the CLI reports as exit 4
+    rc = cli.main(["twists", "--p", "3", "--curve", "0,0,0,2,1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: labelling twists of 0,0,0,2,1 over GF(3): "
+        "two non-isomorphic curves received one class label\n")
+
+
 def test_repro_detects_regression(monkeypatch, capsys):
     bad = dict(cli._EXAMPLE_KERNELS)
     bad[5] = 2

@@ -1,9 +1,13 @@
 """Field arithmetic: axioms checked exhaustively for every q <= 81."""
 
+import math
+
 import numpy as np
 import pytest
 
 from twistlab import gf
+
+from oracles import is_irreducible, modulus_candidates, smallest_modulus
 
 SMALL_FIELDS = [
     (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
@@ -110,6 +114,58 @@ def test_moduli_are_frozen():
     }
     for (p, n), mod in expected.items():
         assert gf.field_create(p, n).modulus == mod
+
+
+def _primes_below(m):
+    sieve = bytearray([1]) * m
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(m - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, m, i)))
+    return [i for i in range(m) if sieve[i]]
+
+
+def test_moduli_match_oracle_up_to_2_16():
+    primes = _primes_below(1 << 16)
+    assert [m for m in range(1 << 16) if gf.is_prime(m)] == primes
+    for p in primes:
+        n = 1
+        while p**n <= 1 << 16:
+            assert gf.field_create(p, n).modulus == smallest_modulus(p, n), (p, n)
+            n += 1
+
+
+@pytest.mark.parametrize("p,n", [
+    (2, 20), (2, 21), (2, 24), (2, 28), (2, 40), (3, 12), (3, 15), (3, 18),
+    (7, 6), (1019, 2), (2039, 2),
+])
+def test_large_moduli_match_oracle(p, n):
+    assert gf.field_create(p, n, limit=p**n).modulus == smallest_modulus(p, n)
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 7), (5, 5), (7, 4)])
+def test_is_field_matches_oracle_on_every_candidate(p, top):
+    for n in range(2, top + 1):
+        for cand in modulus_candidates(p, n):
+            ctx = gf.FieldCtx(p, n, cand)
+            assert gf._is_field(ctx) == is_irreducible(cand, p), cand
+
+
+def test_is_field_rejects_split_product_of_divisor_degrees():
+    # (x + 1)(x^2 + x + 1)(x^3 + x + 1) over GF(2): squarefree with factor
+    # degrees 1, 2 and 3, all dividing 6, so X^63 = 1 holds in the ring and
+    # only the condition at the primes of 6 rejects it
+    ctx = gf.FieldCtx(2, 6, (1, 1, 0, 0, 1, 0, 1))
+    assert ctx._pow(ctx.p, ctx.q - 1) == 1
+    assert not gf._is_field(ctx)
+
+
+def test_rejected_candidates_are_not_cached(monkeypatch):
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    ctx = gf.field_create(3, 6)
+    assert gf._CTX_CACHE == {(3, 6): ctx}
+    assert ctx.modulus == smallest_modulus(3, 6)
+    assert gf.field_create(3, 6) is ctx
 
 
 @pytest.mark.parametrize("p,n", SMALL_FIELDS)

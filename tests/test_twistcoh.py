@@ -54,6 +54,14 @@ def test_action_orders(G12, G24):
         twistcoh.frobenius_action(G12, F4)
 
 
+def test_action_perm_is_checked_galois_apply(G12, G24):
+    for G in (G12, G24):
+        m = G.field.n
+        for base in (gf.field_create(G.field.p, d) for d in range(1, m + 1) if m % d == 0):
+            checked = [G.index_of(autmap.galois_apply(f, base)) for f in G.elements]
+            assert list(_action(G, base).perm) == checked
+
+
 def test_action_rejects_non_automorphism_permutation(G12):
     ident = list(range(12))
     ident[1], ident[2] = ident[2], ident[1]
