@@ -38,6 +38,12 @@ _AUT_DEGREES_CHAR2 = (1, 2, 3, 4, 6, 8, 12, 24)
 _AUT_DEGREES_ODD = (1, 2, 3, 4, 6, 12)
 
 
+def _fault(E, field, stage, what):
+    """An invariant failure that names the curve, the field and the stage."""
+    curve = ",".join(gf.element_to_str(a) for a in E.coefficients)
+    return RuntimeError(f"{stage} of {curve} over {field}: {what}")
+
+
 def transform_coefficients(coeffs, u, r, s, t):
     """Coefficients of the image curve under (u,r,s,t) applied to `coeffs`."""
     a1, a2, a3, a4, a6 = coeffs
@@ -387,7 +393,8 @@ class AutGroup:
         self._subgroups = None
         self._structure = None
         if not self.elements[0].is_identity():
-            raise RuntimeError("canonical order must place the identity first")
+            raise _fault(curve, field, "automorphism group",
+                         "canonical order must place the identity first")
 
     @property
     def order(self):
@@ -431,9 +438,8 @@ def automorphism_group(E):
         if len(elements) == target:
             break
     else:
-        raise RuntimeError(
-            f"automorphism search found {len(elements)} of {target} elements"
-        )
+        raise _fault(E, E.ctx, "automorphism group",
+                     f"automorphism search found {len(elements)} of {target} elements")
     params = [f.params for f in elements]
     index = {f.param_key(): i for i, f in enumerate(elements)}
     cayley = []
@@ -442,7 +448,8 @@ def automorphism_group(E):
         for b in params:
             k = index.get(tuple(x.canon for x in _compose_params(a, b)))
             if k is None:
-                raise RuntimeError("automorphism set is not closed under composition")
+                raise _fault(E, field, "automorphism group",
+                             "automorphism set is not closed under composition")
             row.append(k)
         cayley.append(tuple(row))
     return AutGroup(E, field, elements, tuple(cayley))

@@ -31,8 +31,8 @@ Kernels.  Each context carries int-level kernels chosen by its kind
 
 Tables.  Following the lookup-table design of the `galois` library
 (https://github.com/mhostetter/galois), the first enumeration of a field,
-an O(q) cost its caller pays anyway (point counts, orbit floods, the
-census), builds exp and log tables over the canonical generator, stored
+an O(q) cost its caller pays anyway (point counts, the oracles of the
+tests), builds exp and log tables over the canonical generator, stored
 as compact arrays, plus Zech logs when p is odd and n > 1.  From then on
 products, inverses and powers in GF(p^n), n > 1, are table lookups, odd-p
 sums go through the Zech logs, and `is_square`, `sqrt`, `nth_roots` and
@@ -199,7 +199,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
         "_generator", "_baby_steps", "_baby_count",
-        "_giant_step", "_embed_cache", "_exp", "_log", "_as_basis",
+        "_giant_step", "_embed_cache", "_exp", "_log", "_as_echelon",
         "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
     )
 
@@ -218,7 +218,7 @@ class FieldCtx:
         self._embed_cache = {}
         self._exp = None
         self._log = None
-        self._as_basis = None
+        self._as_echelon = None
         if n == 1:
             gfkernels.prime_kernels(self)
         elif p == 2:
@@ -522,128 +522,126 @@ def sqrt(e):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)-linear solves: equations of the form x^(p^k) + a*x = rhs
+# GF(p)-linear maps of a field to itself, on canonical ints
 
-def _solve_gfp_system(columns, rhs, p):
-    """Solve M*v = rhs over GF(p) given M's columns; return (particular, kernel)."""
-    n = len(rhs)
-    m = len(columns)
-    rows = [[columns[j][i] for j in range(m)] + [rhs[i]] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        sel = None
-        for r in range(row, n):
-            if rows[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        inv_piv = pow(rows[row][col], p - 2, p)
-        rows[row] = [(c * inv_piv) % p for c in rows[row]]
-        for r in range(n):
-            if r != row and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if rows[r][m] % p:
-            return None, []
-    particular = [0] * m
-    for r, col in enumerate(pivots):
-        particular[col] = rows[r][m]
-    free = [c for c in range(m) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [0] * m
-        vec[fc] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-rows[r][fc]) % p
-        kernel.append(vec)
-    return particular, kernel
+class Echelon:
+    """Row echelon form of a GF(p)-linear map f from a field to itself.
+
+    Built from the images of the basis elements x^i.  Each row's image
+    leads with digit 1 at its pivot weight p^i, where i is the position of
+    its most significant nonzero base-p digit; no two rows share a pivot.
+    A row keeps d times its image and a preimage for every digit d, so
+    reducing by it takes no product.  `kernel` is a GF(p) basis of f's
+    kernel.
+    """
+
+    __slots__ = ("ctx", "rows", "kernel")
+
+    def __init__(self, ctx, images):
+        p, mul, sub = ctx.p, ctx._mul, ctx._sub
+        weights = [p**i for i in range(ctx.n)]
+        pivots = {}
+        self.ctx, self.kernel = ctx, []
+        for pre, img in zip(weights, images):  # img is f(pre) throughout
+            while img:
+                w = next(w for w in reversed(weights) if img >= w)
+                lead, row = img // w, pivots.get(w)
+                if row is None:
+                    scale = pow(lead, -1, p)
+                    img, pre = mul(scale, img), mul(scale, pre)
+                    pivots[w] = ([mul(d, img) for d in range(p)],
+                                 [mul(d, pre) for d in range(p)])
+                    break
+                img, pre = sub(img, row[0][lead]), sub(pre, row[1][lead])
+            else:
+                self.kernel.append(pre)
+        self.rows = [(w,) + pivots[w] for w in sorted(pivots, reverse=True)]
+
+    def reduce(self, v):
+        """(v - f(x), x) for an x that makes v - f(x) least in canonical order.
+
+        Clears v's digit at every pivot, most significant first; a row
+        changes no digit above its pivot.  Every nonzero element of the
+        image leads at a pivot, so the one element of v's coset that is
+        zero at all pivots is its least.
+        """
+        ctx = self.ctx
+        x = 0
+        if ctx.p == 2:  # the hot path of point counting: bit tests and XOR
+            for w, imgs, pres in self.rows:
+                if v & w:
+                    v ^= imgs[1]
+                    x ^= pres[1]
+            return v, x
+        p, add, sub = ctx.p, ctx._add, ctx._sub
+        for w, imgs, pres in self.rows:
+            d = v // w % p
+            if d:
+                v = sub(v, imgs[d])
+                x = add(x, pres[d])
+        return v, x
+
+    def kernel_coset(self, x):
+        """x plus every element of the kernel, ascending."""
+        add, mul, out = self.ctx._add, self.ctx._mul, [x]
+        for k in self.kernel:
+            out = [add(y, mul(d, k)) for y in out for d in range(self.ctx.p)]
+        return sorted(out)
+
+    def residues(self):
+        """The least element of each coset of the image, ascending.
+
+        These are the elements whose digits vanish at every pivot.
+        """
+        p, pivots, out = self.ctx.p, {row[0] for row in self.rows}, [0]
+        for w in (p**i for i in range(self.ctx.n)):
+            if w not in pivots:  # every earlier element is below w
+                out = [y + d * w for d in range(p) for y in out]
+        return out
+
+
+def linearized_echelon(a, k=1):
+    """The `Echelon` of x |-> x^(p^k) + a*x on a's field."""
+    ctx = a.ctx
+    basis = (FieldElem(ctx, ctx.p**i) for i in range(ctx.n))
+    return Echelon(ctx, [(frobenius(b, k) + a * b).v for b in basis])
 
 
 def linearized_roots(a, rhs, k=1):
-    """All x in the field with x^(p^k) + a*x == rhs.
+    """All x in the field with x^(p^k) + a*x == rhs, ascending.
 
     The left side is GF(p)-linear in x, so this is exact linear algebra on
-    coefficient vectors; it works at any field size in scope.
+    canonical ints; it works at any field size in scope.
     """
     ctx = a.ctx
     if rhs.ctx is not ctx:
         raise ValueError(f"mixed fields: {ctx} and {rhs.ctx}")
-    p, n = ctx.p, ctx.n
-    columns = []
-    for i in range(n):
-        basis = FieldElem(ctx, p**i)
-        image = frobenius(basis, k) + a * basis
-        columns.append(list(image.coeffs))
-    particular, kernel = _solve_gfp_system(columns, list(rhs.coeffs), p)
-    if particular is None:
-        return []
-    roots = []
-    dim = len(kernel)
-    for mask in range(p**dim):
-        vec = list(particular)
-        mm = mask
-        for kv in kernel:
-            c = mm % p
-            mm //= p
-            if c:
-                for i in range(n):
-                    vec[i] = (vec[i] + c * kv[i]) % p
-        roots.append(FieldElem(ctx, _from_digits(vec, p)))
-    roots.sort(key=lambda x: x.v)
-    return roots
+    ech = linearized_echelon(a, k)
+    residue, x = ech.reduce(rhs.v)
+    return [] if residue else [FieldElem(ctx, y) for y in ech.kernel_coset(x)]
 
 
 def artin_schreier_roots(c):
-    """All w with w^p - w == c, for p in {2, 3}.
+    """All w with w^p - w == c, for p in {2, 3}, ascending.
 
     Nonempty exactly when the absolute trace of c vanishes; then there are
-    exactly p roots differing by GF(p).  For p = 2 the solve reduces c
-    against the field's cached basis of the image of w |-> w^2 + w.
+    p roots, differing by GF(p), that is in the last digit.  The echelon
+    of w |-> w^p - w depends only on the field and is built once.
     """
     ctx = c.ctx
-    if ctx.p == 3:
-        return linearized_roots(ctx.scalar(-1), c, k=1)
-    if ctx.p != 2:
-        raise ValueError(f"Artin-Schreier solve needs characteristic 2 or 3, got {ctx.p}")
-    rows = _artin_schreier_basis(ctx)
-    v, w = c.v, 0
-    while v:
-        row = rows.get(v.bit_length() - 1)
-        if row is None:
-            return []
-        v ^= row[0]
-        w ^= row[1]
-    w &= ~1  # the roots are w and w + 1
-    return [FieldElem(ctx, w), FieldElem(ctx, w | 1)]
-
-
-def _artin_schreier_basis(ctx):
-    """Echelon basis of the image of w |-> w^2 + w on GF(2^n).
-
-    Maps the leading bit of each basis image to (image, a preimage), so
-    reducing c against it by XOR also builds a root.  The map depends only
-    on the field, so the basis is built once per field.
-    """
-    if ctx._as_basis is None:
-        rows = {}
-        for i in range(ctx.n):
-            pre = 1 << i
-            img = ctx._mul(pre, pre) ^ pre
-            while img:
-                row = rows.get(img.bit_length() - 1)
-                if row is None:
-                    rows[img.bit_length() - 1] = (img, pre)
-                    break
-                img ^= row[0]
-                pre ^= row[1]
-        ctx._as_basis = rows
-    return ctx._as_basis
+    p, ech = ctx.p, ctx._as_echelon
+    if ech is None:
+        if p not in (2, 3):
+            raise ValueError(f"Artin-Schreier solve needs characteristic 2 or 3, got {p}")
+        ech = ctx._as_echelon = linearized_echelon(ctx.scalar(-1))
+    residue, w = ech.reduce(c.v)
+    if residue:
+        return []
+    w -= w % p
+    roots = [FieldElem(ctx, w), FieldElem(ctx, w + 1)]
+    if p == 3:
+        roots.append(FieldElem(ctx, w + 2))
+    return roots
 
 
 def absolute_trace(e):

@@ -34,13 +34,16 @@ class FrobAction:
         self.base = base
         self.perm = tuple(perm)
         n = group.order
+        stage = "Frobenius action on the automorphisms"
         if sorted(self.perm) != list(range(n)):
-            raise RuntimeError("Frobenius map is not a permutation of the group")
+            raise autmap._fault(group.curve, base, stage,
+                                "Frobenius map is not a permutation of the group")
         table = group.cayley
         for i in range(n):
             for j in range(n):
                 if self.perm[table[i][j]] != table[self.perm[i]][self.perm[j]]:
-                    raise RuntimeError("Frobenius permutation is not a group automorphism")
+                    raise autmap._fault(group.curve, base, stage,
+                                        "Frobenius permutation is not a group automorphism")
         order = 1
         current = self.perm
         identity = tuple(range(n))
@@ -49,9 +52,8 @@ class FrobAction:
             order += 1
         degree = group.field.n // base.n
         if degree % order != 0:
-            raise RuntimeError(
-                f"action order {order} does not divide the field degree {degree}"
-            )
+            raise autmap._fault(group.curve, base, stage, f"action order {order} "
+                                f"does not divide the field degree {degree}")
         self.order = order
 
     def __repr__(self):

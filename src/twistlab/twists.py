@@ -8,14 +8,14 @@ instead.  That is the label the golden files pin, and a known defect:
 it can give two twists one label (the strict xfail
 `test_twists_of_cubic_twists_over_f3`).
 
-This module finds one curve per base-isomorphism class by flooding
-orbits in the short-form family of one j-invariant, provides the
-standard one-parameter twist constructors (quadratic, Artin-Schreier,
-unit), separates twists by point counts, and checks the expected
-count/degree/census tables for characteristic 2 and 3.
+This module finds the least short model of each base-isomorphism class
+of one j-invariant in closed form, from coset minima of the scalings and
+GF(p)-linear echelons of the shifts, so no field is enumerated.  It also
+provides the standard one-parameter twist constructors (quadratic,
+Artin-Schreier, unit), separates twists by point counts, and checks the
+expected count/degree/census tables for characteristic 2 and 3.
 """
 
-import itertools
 import math
 
 from . import autmap, gf, twistcoh
@@ -54,111 +54,86 @@ class TwistReport:
         return f"TwistReport(base={self.base}, entries={len(self.entries)})"
 
 
-def _short_family(base, j):
-    """The short models over `base` of j-invariant j, and moves between them.
+def _scalings(base, k):
+    """The least element of each coset of the k-th powers in base*, ascending,
+    and the u in base with u^k = 1.
 
-    Returns (prefix, nodes, moves).  `nodes` yields, in order of the free
-    coefficients, each model that `autmap.reduction_isomorphism` targets
-    with j-invariant j, as the canonical ints of the coefficients after
-    the fixed leading ones, `prefix`.  `moves(node)` yields node's images
-    under generators of the isomorphisms over `base` that keep the shape:
-    a scale by the canonical generator g and shifts along a GF(p) basis.
-    Every isomorphism between two short models keeps the shape, so the
-    orbits of the moves are the base-isomorphism classes.
+    The cosets are told apart by the power-residue class x^((q-1)/g),
+    g = gcd(k, q - 1), scanning 1, 2, ... until all g are met.
     """
-    p, q = base.p, base.q
-    elements = gf.enumerate_field(base)  # tables the field for the kernels
-    mul, add, sub = base._mul, base._add, base._sub
-    basis = [base.gen() ** i for i in range(base.n)]
-    g = gf.generator(base)
-    g2, g3, g4, g6 = ((g ** k).v for k in (2, 3, 4, 6))
-    units = range(1, q)
+    qm1 = base.q - 1
+    g = math.gcd(k, qm1)
+    minima = {}
+    x = 1
+    while len(minima) < g:
+        minima.setdefault(base._pow(x, qm1 // g), x)
+        x += 1
+    return list(minima.values()), gf.nth_roots(base.one, k)
+
+
+def _short_classes(base, j):
+    """The least short model of each base-isomorphism class of j-invariant j.
+
+    The short models are the curves that `autmap.reduction_isomorphism`
+    targets.  Every isomorphism between two of them keeps the shape: it
+    scales a leading coefficient by u^k and shifts the later ones by
+    GF(p)-linear maps.  So the least model of a class, in the tuple order
+    of canonical coefficients, has the least leading coefficient m of its
+    coset of k-th powers, and each later coefficient is the least of its
+    coset modulo the image of its shift (`gf.Echelon.reduce`), taken over
+    the u with u^k = 1 that keep m.  Every class has a model with a least
+    leading coefficient and image residues after it; those candidates are
+    reduced, and the distinct least models returned ascending.
+    """
+    p, elem = base.p, base.from_canon
     if p == 2 and j.is_zero():
-        # y^2 + a3 y = x^3 + a4 x + a6
-        prefix, nodes = (0, 0), itertools.product(units, range(q), range(q))
-        shifts = [(s.v, (s * s).v, (s ** 4).v, (s ** 6).v) for s in basis]
+        # y^2 + a3 y = x^3 + a4 x + a6: (u, s, t) sends a3 to u^3 a3,
+        # a4 to u^4 a4 + s^4 + a3 s and a6 to u^6 a6 + s^2 a4 + s^6 + t^2 + a3 t
+        # (new a3 and a4 on the right)
+        prefix, nodes = (0, 0), set()
+        minima, units = _scalings(base, 3)
+        for m in minima:
+            shift4, shift6 = (gf.linearized_echelon(elem(m), k) for k in (2, 1))
 
-        def moves(node):
-            a3, a4, a6 = node
-            yield mul(g3, a3), mul(g4, a4), mul(g6, a6)
-            for s, s2, s4, s6 in shifts:
-                b4 = add(add(a4, mul(s, a3)), s4)
-                yield a3, b4, add(add(a6, mul(s2, b4)), s6)
-            for t, t2, _, _ in shifts:
-                yield a3, a4, add(add(a6, mul(t, a3)), t2)
+            def images(a4, a6):
+                for u in units:
+                    b4, s0 = shift4.reduce((u ** 4 * a4).v)
+                    for s in map(elem, shift4.kernel_coset(s0)):
+                        yield b4, shift6.reduce((u ** 6 * a6 + s * s * elem(b4) + s ** 6).v)[0]
+
+            nodes.update((m,) + min(images(elem(a4), elem(a6)))
+                         for a4 in shift4.residues() for a6 in shift6.residues())
     elif p == 2:
-        # y^2 + x y = x^3 + a2 x^2 + 1/j; a2 moves by s^2 + s
-        a6 = j.inv().v
-        prefix, nodes = (1,), ((a2, 0, 0, a6) for a2 in range(q))
-        steps = [(s * s + s).v for s in basis]
-
-        def moves(node):
-            for w in steps:
-                yield add(node[0], w), 0, 0, a6
+        # y^2 + x y = x^3 + a2 x^2 + 1/j; s sends a2 to a2 + s^2 + s
+        prefix, a6 = (1,), j.inv().v
+        nodes = {(a2, 0, 0, a6) for a2 in gf.linearized_echelon(base.one).residues()}
+    elif p == 3 and j.is_zero():
+        # y^2 = x^3 + a4 x + a6: (u, r) sends a4 to u^4 a4 and a6 to
+        # u^6 a6 - r^3 - a4 r (new a4)
+        prefix, nodes = (0, 0, 0), set()
+        minima, units = _scalings(base, 4)
+        for m in minima:
+            shift = gf.linearized_echelon(elem(m))
+            nodes.update((m, min(shift.reduce((u ** 6 * elem(a6)).v)[0] for u in units))
+                         for a6 in shift.residues())
     elif p == 3:
-        # y^2 = x^3 + a2 x^2 + a4 x + a6, with a2 = 0 exactly when j = 0
-        shifts = [(r.v, (r * r).v, (r ** 3).v) for r in basis]
-        if j.is_zero():
-            prefix, nodes = (0, 0, 0), itertools.product(units, range(q))
-
-            def moves(node):
-                a4, a6 = node
-                yield mul(g4, a4), mul(g6, a6)
-                for r, _, r3 in shifts:
-                    yield a4, sub(sub(a6, mul(r, a4)), r3)
-        else:
-            # the discriminant a2^2 a4^2 - a4^3 - a2^3 a6 is a2^6 / j, which
-            # fits one a6 to each (a2, a4)
-            prefix, nodes = (0,), (
-                (a2.v, 0, a4.v, (((a2 * a4) ** 2 - a4 ** 3 - a2 ** 6 / j) / a2 ** 3).v)
-                for a2 in elements[1:] for a4 in elements
-            )
-
-            def moves(node):
-                a2, _, a4, a6 = node
-                yield mul(g2, a2), 0, mul(g4, a4), mul(g6, a6)
-                for r, r2, r3 in shifts:
-                    b4 = add(a4, mul(r, a2))
-                    yield a2, 0, b4, sub(sub(sub(a6, mul(r, b4)), mul(r2, a2)), r3)
-    else:
-        # y^2 = x^3 + a4 x + a6; a6^2 = c a4^3, so c = 0 gives j = 1728
+        # y^2 = x^3 + a2 x^2 + a4 x + a6: u scales a2 by u^2 and r shifts a4
+        # by r a2, so each class has a model with a4 = 0, where the
+        # discriminant a2^2 a4^2 - a4^3 - a2^3 a6 = a2^6 / j fixes a6
+        prefix = (0,)
+        nodes = {(m, 0, 0, (-elem(m) ** 3 / j).v) for m in _scalings(base, 2)[0]}
+    elif j.is_zero():
+        # y^2 = x^3 + a6: u scales a6 by u^6
         prefix = (0, 0, 0)
-        if j.is_zero():
-            nodes = ((0, a6) for a6 in units)
-        else:
-            c = 4 * (1728 - j) / (27 * j)
-            nodes = ((a4, a6.v) for a4 in units
-                     for a6 in gf.nth_roots(c * elements[a4] ** 3, 2))
-
-        def moves(node):
-            yield mul(g4, node[0]), mul(g6, node[1])
-    return prefix, nodes, moves
-
-
-def _class_representatives(base, j, want=None):
-    """One curve per base-isomorphism class of short models of j-invariant j.
-
-    Floods, under the family's moves, the orbit of the first node not yet
-    seen, so each class is represented by its first node in the family's
-    order.  Stops after `want` classes when it is given.
-    """
-    prefix, nodes, moves = _short_family(base, j)
-    reps = []
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        reps.append(WeierstrassCurve(base, *map(base.from_canon, prefix + start)))
-        if len(reps) == want:
-            break
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for nxt in moves(stack.pop()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return reps
+        nodes = {(0, m) for m in _scalings(base, 6)[0]}
+    else:
+        # y^2 = x^3 + a4 x + a6: u scales a4 by u^4 and a6 by u^6; a6^2 = c a4^3,
+        # so c = 0 gives j = 1728
+        prefix, c = (0, 0, 0), 4 * (1728 - j) / (27 * j)
+        minima, units = _scalings(base, 4)
+        nodes = {(m, min((u ** 6 * a6).v for u in units))
+                 for m in minima for a6 in gf.nth_roots(c * elem(m) ** 3, 2)}
+    return [WeierstrassCurve(base, *map(elem, prefix + node)) for node in sorted(nodes)]
 
 
 def _class_data(E, base):
@@ -168,12 +143,6 @@ def _class_data(E, base):
     classes = twistcoh.frobenius_classes(action)
     cocycles = (twistcoh.Cocycle(action, c.rep_index) for c in classes)
     return group, classes, [twistcoh.splitting_degree(c) for c in cocycles]
-
-
-def _fault(E, base, stage, what):
-    """An invariant failure that names the curve, the field and the stage."""
-    curve = ",".join(gf.element_to_str(a) for a in E.coefficients)
-    return RuntimeError(f"{stage} twists of {curve} over {base}: {what}")
 
 
 def _label_class(E, T, base, group, g_classes, degrees):
@@ -187,7 +156,8 @@ def _label_class(E, T, base, group, g_classes, degrees):
     """
     d, isos = autmap.first_isomorphism_degree(E, T, degrees)
     if d is None:
-        raise _fault(E, base, "labelling", f"no isomorphism over split degrees {degrees}")
+        raise autmap._fault(E, base, "labelling twists",
+                            f"no isomorphism over split degrees {degrees}")
     psi = isos[0]
     phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
     comp = gf.field_create(
@@ -200,21 +170,23 @@ def _label_class(E, T, base, group, g_classes, degrees):
             index = k
             break
     if index is None:
-        raise _fault(E, base, "labelling", "twist label is not an automorphism of the source")
+        raise autmap._fault(E, base, "labelling twists",
+                            "twist label is not an automorphism of the source")
     for cls in g_classes:
         if index in cls.indices:
             return cls, d
-    raise _fault(E, base, "labelling", "automorphism missing from the class partition")
+    raise autmap._fault(E, base, "labelling twists",
+                        "automorphism missing from the class partition")
 
 
 def enumerate_twists(E, base):
     """One representative curve per twist class of E over `base`.
 
     First creates each class's split-degree field, ascending, so an input
-    over the split limit fails before any search.  Then floods the
-    base-isomorphism classes of the short models with j(E), stopping at
-    the count from the twisted-class partition; each class is represented
-    by its first model in the family's order.  Each representative is
+    over the split limit fails before any search.  Then takes the
+    base-isomorphism classes of the short models with j(E) from
+    `_short_classes`, each represented by its least model; their number
+    must be the number of twisted classes.  Each representative is
     labelled by `_label_class`.  Entries follow the class order, trivial
     class first.
     """
@@ -227,17 +199,16 @@ def enumerate_twists(E, base):
     degrees = sorted(set(class_degrees))
     for d in degrees:
         gf.field_create(base.p, base.n * d, limit=gf.split_limit())
-    want = len(g_classes)
-    reps = _class_representatives(base, E.j_invariant(), want)
-    if len(reps) < want:
-        raise _fault(E, base, "flood",
-                     f"short family exhausted with {len(reps)} of {want} classes found")
+    reps = _short_classes(base, E.j_invariant())
+    if len(reps) != len(g_classes):
+        raise autmap._fault(E, base, "finding twists", f"{len(reps)} short-model "
+                            f"classes for {len(g_classes)} twisted classes")
     by_class = {}
     for T in reps:
         cls, degree = _label_class(E, T, base, group, g_classes, degrees)
         if cls.rep_index in by_class:
-            raise _fault(E, base, "labelling",
-                         "two non-isomorphic curves received one class label")
+            raise autmap._fault(E, base, "labelling twists",
+                                "two non-isomorphic curves received one class label")
         by_class[cls.rep_index] = TwistEntry(
             curve=T,
             frob_class=cls,
@@ -324,21 +295,13 @@ def point_count_table(report):
 def j_zero_class_representatives(base):
     """One smooth j = 0 curve per base-isomorphism class, smallest first.
 
-    Counted independently of the cohomology machinery, by the orbit flood
-    of `_class_representatives` over the short j = 0 family.  The flood
-    visits every node of the family, so their number is checked against
-    the working limit first.
+    Counted independently of the cohomology machinery: each class is its
+    least short model, from `_short_classes`.  No field is enumerated, so
+    the cost does not grow with the field.
     """
-    p, q = base.p, base.q
-    if p not in (2, 3):
+    if base.p not in (2, 3):
         raise ValueError("census implemented for characteristic 2 and 3")
-    nodes = (q - 1) * q ** (2 if p == 2 else 1)
-    limit = gf.working_limit()
-    if nodes > limit:
-        raise gf.LimitExceededError(
-            f"census over {base} needs {nodes} grid nodes, limit {limit}"
-        )
-    return _class_representatives(base, base.zero)
+    return _short_classes(base, base.zero)
 
 
 def j_zero_class_census(base):

@@ -214,8 +214,8 @@ def short_grid(E, base):
 
     Each short-form shape that `autmap.reduction_isomorphism` targets for
     (p, j) has its free coefficients run over the field in canonical
-    order; the smooth curves with j(E) are yielded.  Reference for
-    `twists._short_family`.
+    order; the smooth curves with j(E) are yielded.  The family whose
+    classes `twists._short_classes` finds.
     """
     p = base.p
     j = E.base_change(base).j_invariant()
@@ -249,7 +249,7 @@ def grid_class_representatives(E, base):
 
     A grid curve starts a new class unless `find_isomorphisms` over `base`
     links it to an earlier representative.  Reference for
-    `twists._class_representatives`.
+    `twists._short_classes`.
     """
     reps = []
     for T in short_grid(E, base):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import cli, gf, twists
+from twistlab import autmap, cli, gf, twists
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,7 +160,7 @@ def test_limit_flag_leaves_environment_unchanged(monkeypatch, capsys, preset):
     else:
         monkeypatch.setenv(gf.LIMIT_ENV_VAR, preset)
     for argv, code in ((["census", "--p", "2", "--n", "1"], 0),
-                       (["census", "--p", "3", "--n", "3"], 2)):
+                       (["census", "--p", "2", "--n", "7"], 2)):
         rc, _ = run(argv + ["--limit", "100"], capsys)
         assert rc == code
         assert os.environ.get(gf.LIMIT_ENV_VAR) == preset
@@ -181,12 +181,13 @@ def test_limit_flag_reaches_the_command_without_the_environment(monkeypatch):
 
 
 def test_census_respects_field_limit(monkeypatch, capsys):
+    # the base field GF(2^7) is over the limit of 100
     monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
-    rc, out = run(["census", "--p", "3", "--n", "3"], capsys)
+    rc, out = run(["census", "--p", "2", "--n", "7"], capsys)
     assert rc == 2
-    rc, doc = run_json(["census", "--p", "3", "--n", "3",
+    rc, doc = run_json(["census", "--p", "2", "--n", "7",
                         "--limit", str(1 << 22)], capsys)
-    assert rc == 0 and doc["count"] == 4
+    assert rc == 0 and doc["count"] == 3
 
 
 def test_field_limit_blocks_base_field_creation(monkeypatch, capsys):
@@ -198,9 +199,9 @@ def test_field_limit_blocks_base_field_creation(monkeypatch, capsys):
 
 def test_split_limit_exits_before_the_flood(monkeypatch):
     def unreachable(*args):
-        pytest.fail("the flood ran before the split-limit check")
+        pytest.fail("the classes were searched before the split-limit check")
 
-    monkeypatch.setattr(twists, "_class_representatives", unreachable)
+    monkeypatch.setattr(twists, "_short_classes", unreachable)
     assert cli.main(["twists", "--p", "2", "--n", "6", "--curve", "0,0,1,0,0"]) == 2
 
 
@@ -249,6 +250,18 @@ def test_invariant_failure_names_curve_field_and_stage(capsys):
     assert captured.err == (
         "internal error: labelling twists of 0,0,0,2,1 over GF(3): "
         "two non-isomorphic curves received one class label\n")
+
+
+def test_automorphism_invariant_failure_names_curve_field_and_stage(monkeypatch, capsys):
+    # an automorphism search that cannot reach its expected order
+    monkeypatch.setattr(autmap, "_max_automorphism_order", lambda p, j: 5)
+    rc = cli.main(["twists", "--p", "3", "--curve", "0,0,0,2,0"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: automorphism group of 0,0,0,2,0 over GF(3): "
+        "automorphism search found 12 of 5 elements\n")
 
 
 def test_repro_detects_regression(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic: axioms checked exhaustively for every q <= 81."""
 
+import itertools
 import math
 
 import numpy as np
@@ -248,14 +249,41 @@ def test_linearized_roots_match_scan(p, n, k):
 
 
 def test_artin_schreier_roots():
-    for n in (1, 2, 3, 4):
-        ctx = gf.field_create(2, n)
+    for p, n in itertools.product((2, 3), (1, 2, 3, 4)):
+        ctx = gf.field_create(p, n)
         for c in gf.enumerate_field(ctx):
-            want = sorted(x.canon for x in gf.enumerate_field(ctx) if x * x + x == c)
-            got = sorted(x.canon for x in gf.artin_schreier_roots(c))
+            want = [x.canon for x in gf.enumerate_field(ctx) if x ** p - x == c]
+            got = [x.canon for x in gf.artin_schreier_roots(c)]
             assert got == want
             # solvable exactly when the absolute trace vanishes
             assert bool(want) == (gf.absolute_trace(c) == 0)
+
+
+SMALL_FIELDS = [(p, n) for p in range(2, 82) if gf.is_prime(p)
+                for n in range(1, 7) if p ** n <= 81]
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_echelon_reduces_to_the_coset_minimum(p, n):
+    # for f(x) = x^(p^k) + a x: reduce(v) is the least v - f(x) with an x
+    # reaching it, residues() the least element of every coset of the
+    # image, and kernel_coset(0) the kernel
+    ctx = gf.field_create(p, n)
+    els = [x.v for x in gf.enumerate_field(ctx)]
+    sub = ctx._sub
+    for k in ((1, 2) if n > 1 else (1,)):
+        for a in gf.enumerate_field(ctx):
+            f = [(gf.frobenius(x, k) + a * x).v for x in gf.enumerate_field(ctx)]
+            image = set(f)
+            ech = gf.linearized_echelon(a, k)
+            least = set()
+            for v in els:
+                residue, x = ech.reduce(v)
+                assert residue == min(sub(v, w) for w in image), (k, a, v)
+                assert sub(v, f[x]) == residue, (k, a, v)
+                least.add(residue)
+            assert ech.residues() == sorted(least), (k, a)
+            assert ech.kernel_coset(0) == [x for x in els if not f[x]], (k, a)
 
 
 def test_absolute_trace():

@@ -65,7 +65,8 @@ def test_action_perm_is_checked_galois_apply(G12, G24):
 def test_action_rejects_non_automorphism_permutation(G12):
     ident = list(range(12))
     ident[1], ident[2] = ident[2], ident[1]
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"^Frobenius action on the automorphisms "
+                       r"of 0,0,0,2,0 over GF\(3\): Frobenius permutation"):
         twistcoh.FrobAction(G12, F3, tuple(ident))
 
 

@@ -1,6 +1,7 @@
 """Twist enumeration, explicit twist families, and the table verifier."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -166,52 +167,56 @@ def _family_order(K, j):
 @pytest.mark.parametrize("K", FLOOD_FIELDS, ids=repr)
 def test_flood_matches_grid_oracle(K):
     for E in _grid_sources(K):
-        reps = twists._class_representatives(K, E.j_invariant())
+        reps = twists._short_classes(K, E.j_invariant())
         assert reps == grid_class_representatives(E, K), E
+
+
+def _coefficient_key(T):
+    return tuple(a.canon for a in T.coefficients)
 
 
 @pytest.mark.parametrize("K", FLOOD_FIELDS, ids=repr)
 def test_family_nodes_are_the_short_models(K):
+    # the grid oracle is the family the classes partition: short models
+    # with j, each its own reduction; every representative is one of them
     for E in _grid_sources(K):
         j = E.j_invariant()
-        prefix, nodes, _ = twists._short_family(K, j)
-        curves = [WeierstrassCurve(K, *map(K.from_canon, prefix + node)) for node in nodes]
-        assert curves == list(short_grid(E, K)), E
-        for T in curves:
+        grid = list(short_grid(E, K))
+        for T in grid:
             assert T.is_smooth() and T.j_invariant() == j
             assert autmap.reduction_isomorphism(T).is_identity()
+        assert all(R in grid for R in twists._short_classes(K, j)), E
 
 
 @pytest.mark.parametrize("K", FLOOD_FIELDS, ids=repr)
 def test_orbit_stabilizer_certificate(K):
-    # an orbit of the moves times the stabilizer Aut_K(T) has the order of
-    # the whole shape-keeping group, so the moves reach every isomorphic
-    # model; the orbits partition the family
+    # every short model is isomorphic to exactly one representative, which
+    # is the least model of its fiber; the fiber is an orbit of the
+    # shape-keeping group, so its size times the stabilizer Aut_K(R) is
+    # that group's order
     for E in _grid_sources(K):
         j = E.j_invariant()
-        prefix, nodes, moves = twists._short_family(K, j)
-        sizes = []
-        for T in twists._class_representatives(K, j):
-            orbit = {tuple(a.canon for a in T.coefficients)[len(prefix):]}
-            stack = list(orbit)
-            while stack:
-                for nxt in moves(stack.pop()):
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        stack.append(nxt)
-            stabilizer = len(autmap.find_isomorphisms(T, T, K))
-            assert len(orbit) * stabilizer == _family_order(K, j), T
-            sizes.append(len(orbit))
-        assert sum(sizes) == len(list(nodes)), E
+        reps = twists._short_classes(K, j)
+        fibers = {_coefficient_key(R): [] for R in reps}
+        for T in short_grid(E, K):
+            owners = [R for R in reps if autmap.find_isomorphisms(R, T, K)]
+            assert len(owners) == 1, T
+            fibers[_coefficient_key(owners[0])].append(_coefficient_key(T))
+        for R in reps:
+            fiber = fibers[_coefficient_key(R)]
+            assert min(fiber) == _coefficient_key(R), R
+            stabilizer = len(autmap.find_isomorphisms(R, R, K))
+            assert len(fiber) * stabilizer == _family_order(K, j), R
 
 
 def test_split_fields_are_created_before_the_flood(monkeypatch):
     # y^2 + y = x^3 over GF(2^6) has classes of split degree 8; GF(2^48)
-    # is over the split limit, and that must end the call before any flood
+    # is over the split limit, and that must end the call before the
+    # classes are searched
     def unreachable(*args):
-        pytest.fail("the flood ran before the split-limit check")
+        pytest.fail("the classes were searched before the split-limit check")
 
-    monkeypatch.setattr(twists, "_class_representatives", unreachable)
+    monkeypatch.setattr(twists, "_short_classes", unreachable)
     F64 = gf.field_create(2, 6)
     with pytest.raises(gf.LimitExceededError):
         twists.enumerate_twists(WeierstrassCurve(F64, 0, 0, 1, 0, 0), F64)
@@ -409,12 +414,31 @@ def test_census_representatives_are_the_twists(request, fixture, base):
         assert not _base_iso(R, S, base)
 
 
-def test_census_refuses_past_the_working_limit(monkeypatch):
-    F27 = gf.field_create(3, 3)
-    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
-    with pytest.raises(gf.LimitExceededError) as exc:
-        twists.j_zero_class_representatives(F27)
-    assert str(exc.value) == "census over GF(3^3) needs 702 grid nodes, limit 100"
+def test_census_and_tables_over_degree_eight():
+    # (q - 1) q^2 short models over GF(2^8), (q - 1) q over GF(3^8): the
+    # census takes its classes without visiting them
+    for p, want in ((2, 7), (3, 6)):
+        assert twists.j_zero_class_census(gf.field_create(p, 8)) == want
+        assert twists.verify_twist_tables(p, 8).ok
+
+
+MASS_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+               + [(5, 2), (7, 2), (13, 1)])
+
+
+@pytest.mark.parametrize("p,n", MASS_FIELDS, ids=lambda v: str(v))
+def test_short_classes_mass_formula(p, n):
+    # Lenstra (Ann. of Math. 126, 1987): over F = GF(q), the classes of
+    # each j-invariant weigh 1 / |Aut_F(T)| each and 1 together, so the
+    # whole field weighs q
+    F = gf.field_create(p, n)
+    total = Fraction(0)
+    for j in map(F.from_canon, range(F.q)):
+        mass = sum(Fraction(1, len(autmap.find_isomorphisms(T, T, F)))
+                   for T in twists._short_classes(F, j))
+        assert mass == 1, j
+        total += mass
+    assert total == F.q
 
 
 def test_verify_twist_tables():
