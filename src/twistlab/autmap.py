@@ -342,10 +342,10 @@ def first_isomorphism_degree(E1, E2, degrees):
     """First d in `degrees` with an isomorphism E1 -> E2 over degree d.
 
     Returns (d, those isomorphisms), or (None, []) when no listed degree
-    has any.  Extension sizes are checked against the splitting-search limit.
+    has any.
     """
     for d in degrees:
-        ext = gf.field_create(E1.ctx.p, E1.ctx.n * d, limit=gf.split_limit())
+        ext = gf.field_create(E1.ctx.p, E1.ctx.n * d)
         isos = find_isomorphisms(E1, E2, ext)
         if isos:
             return d, isos
@@ -472,19 +472,15 @@ class SubgroupInfo:
 
 
 def _subgroup_closure(table, seed):
-    elems = set(seed)
-    elems.add(0)
-    frontier = list(elems)
-    while frontier:
-        added = []
-        current = list(elems)
-        for a in current:
-            for b in frontier:
-                for c in (table[a][b], table[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        added.append(c)
-        frontier = added
+    """The subgroup generated by `seed`, as the identity's closure under right
+    multiplication by the seed: in a finite group inverses are powers."""
+    elems, order = {0}, [0]
+    for a in order:
+        for s in seed:
+            c = table[a][s]
+            if c not in elems:
+                elems.add(c)
+                order.append(c)
     return frozenset(elems)
 
 

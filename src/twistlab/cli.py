@@ -429,7 +429,7 @@ def _build_parser():
             p.add_argument("--subgroup",
                            help="trivial, full, minus-one, C<k>, or (u,r,s,t)@p^m")
         p.add_argument("--limit", type=int,
-                       help="field size limit (env TWISTLAB_LIMIT)")
+                       help="most elements one step may walk (env TWISTLAB_LIMIT)")
         p.add_argument("--json", action="store_true")
     return parser
 

@@ -38,8 +38,12 @@ products, inverses and powers in GF(p^n), n > 1, are table lookups, odd-p
 sums go through the Zech logs, and `is_square`, `sqrt`, `nth_roots` and
 the discrete log read the log table.  Fields used only for roots, linear
 algebra and embeddings are never tabled; their discrete logs use
-baby-step giant-step.  Importing the module creates no field and builds
-no table.
+Pohlig-Hellman.  Importing the module creates no field and builds no
+table.
+
+Limit.  The working limit is the most elements one step may walk; the
+size of a field is not limited.  Three steps walk: `enumerate_field`,
+`_embedding_root` (a whole subfield) and `_factorize` (trial divisors).
 """
 
 import contextvars
@@ -49,7 +53,6 @@ import os
 from . import gfkernels
 
 DEFAULT_LIMIT = 1 << 22
-SPLIT_LIMIT = 1 << 24
 LIMIT_ENV_VAR = "TWISTLAB_LIMIT"
 # A limit set for the current context (the CLI's --limit); read before the
 # environment, so a command never has to write TWISTLAB_LIMIT.
@@ -61,7 +64,7 @@ class LimitExceededError(Exception):
 
 
 def working_limit():
-    """Current working limit on field size.
+    """Current working limit: the most elements any one step may walk.
 
     The value set in `LIMIT_OVERRIDE` wins; then TWISTLAB_LIMIT; then
     DEFAULT_LIMIT.
@@ -81,20 +84,20 @@ def working_limit():
     return value
 
 
-def split_limit():
-    """Raised limit used only inside splitting-degree searches."""
-    return max(working_limit(), SPLIT_LIMIT)
-
-
 def is_prime(m):
     return m > 1 and _factorize(m) == {m: 1}
 
 
 def _factorize(m):
-    """Prime factorization of m >= 1 by trial division, as {prime: exponent}."""
-    factors = {}
+    """Prime factorization of m >= 1 by trial division, as {prime: exponent}.
+
+    Stops with LimitExceededError once a divisor passes the working limit
+    with a cofactor left, so every prime it returns is below limit^2."""
+    factors, limit = {}, working_limit()
     d = 2
     while d * d <= m:
+        if d > limit:
+            raise LimitExceededError(f"factoring {m} needs divisors past the limit {limit}")
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d
@@ -150,23 +153,21 @@ def _smallest_field(p, n):
 _CTX_CACHE = {}
 
 
-def field_create(p, n=1, limit=None):
+def field_create(p, n=1):
     """Construct (or fetch the cached) GF(p^n) context.
 
-    The limit check applies per call, so a cached context is re-verified
-    against the limit in force at call time.
+    On a cache miss q - 1 is factored first, for `generator` and `_dlog`,
+    so a field out of the limit's reach fails before its modulus search.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    q = p**n
-    lim = working_limit() if limit is None else limit
-    if q > lim:
-        raise LimitExceededError(f"field size {p}^{n} = {q} exceeds limit {lim}")
     ctx = _CTX_CACHE.get((p, n))
     if ctx is None:
+        factors = _factorize(p**n - 1)
         ctx = _CTX_CACHE[(p, n)] = _smallest_field(p, n)
+        ctx._unit_factors = factors
     return ctx
 
 
@@ -198,9 +199,8 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
-        "_generator", "_baby_steps", "_baby_count",
-        "_giant_step", "_embed_cache", "_exp", "_log", "_as_echelon",
-        "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
+        "_generator", "_unit_factors", "_embed_cache", "_exp", "_log",
+        "_as_echelon", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
     )
 
     def __init__(self, p, n, modulus):
@@ -212,9 +212,7 @@ class FieldCtx:
         self._one = FieldElem(self, 1)
         self._elements = None
         self._generator = None
-        self._baby_steps = None
-        self._baby_count = None
-        self._giant_step = None
+        self._unit_factors = None
         self._embed_cache = {}
         self._exp = None
         self._log = None
@@ -403,9 +401,13 @@ class FieldElem:
 def enumerate_field(ctx):
     """All elements of ctx in canonical order, as a list.
 
-    The first call pays O(q) for the list and builds the field's tables
-    at the same time.
+    Every call walks q elements, so q may not pass the working limit.  The
+    first call also builds the field's tables.
     """
+    limit = working_limit()
+    if ctx.q > limit:
+        raise LimitExceededError(f"enumerating {ctx} walks {ctx.q} elements, "
+                                 f"over the limit {limit}")
     if ctx._elements is None:
         gfkernels.table_kernels(ctx, generator(ctx).v)
         ctx._elements = [FieldElem(ctx, k) for k in range(ctx.q)]
@@ -424,9 +426,9 @@ def generator(ctx):
     if ctx._generator is not None:
         return ctx._generator
     qm1 = ctx.q - 1
-    exponents = [qm1 // ell for ell in _factorize(qm1)]
+    exponents = [qm1 // ell for ell in ctx._unit_factors]
     power = ctx._pow
-    for k in range(1, ctx.q):
+    for k in range(ctx.p if ctx.n > 1 else 1, ctx.q):  # constants have order | p - 1
         if all(power(k, x) != 1 for x in exponents):
             ctx._generator = FieldElem(ctx, k)
             return ctx._generator
@@ -436,33 +438,44 @@ def generator(ctx):
 def _dlog(e):
     """Discrete log base the canonical generator.
 
-    A table lookup on tabled fields; baby-step giant-step elsewhere.
+    A table lookup on tabled fields.  Elsewhere Pohlig-Hellman (IEEE Trans.
+    Inf. Theory 24, 1978): for each l^k exactly dividing q - 1, the log mod
+    l^k one base-l digit at a time, each digit a log in the subgroup of
+    prime order l < limit^2; the Chinese remainder theorem joins them.
     """
     ctx = e.ctx
     if e.is_zero():
         raise ZeroDivisionError(f"discrete log of zero in {ctx}")
     if ctx._log is not None:
         return ctx._log[e.v]
-    qm1 = ctx.q - 1
+    qm1, power, mul = ctx.q - 1, ctx._pow, ctx._mul
+    g, x = generator(ctx).v, 0
+    for ell, k in ctx._unit_factors.items():
+        gamma, x_ell = power(g, qm1 // ell), 0  # gamma has order ell
+        for j in range(k):  # x_ell is the log mod ell^j
+            c = qm1 // ell ** (j + 1)
+            h = mul(power(e.v, c), power(g, -x_ell * c % qm1))
+            x_ell += _subgroup_log(ctx, gamma, h, ell) * ell**j
+        cofactor = qm1 // ell**k
+        x += x_ell * cofactor * pow(cofactor, -1, ell**k)
+    return x % qm1
+
+
+def _subgroup_log(ctx, gamma, h, ell):
+    """The d in [0, ell) with gamma^d == h for gamma of prime order ell, by
+    baby-step giant-step: at most m ~ sqrt(ell) steps of each kind."""
     mul = ctx._mul
-    if ctx._baby_steps is None:
-        g = generator(ctx).v
-        m = math.isqrt(qm1) + 1
-        table = {}
-        acc = 1
-        for j in range(m):
-            table.setdefault(acc, j)
-            acc = mul(acc, g)
-        ctx._baby_steps = table
-        ctx._baby_count = m
-        ctx._giant_step = ctx._pow(ctx._inv(g), m % qm1)
-    table, m, step = ctx._baby_steps, ctx._baby_count, ctx._giant_step
-    cur = e.v
-    for i in range(m + 1):
-        j = table.get(cur)
+    m = math.isqrt(ell - 1) + 1
+    baby, acc = {}, 1
+    for j in range(m):
+        baby.setdefault(acc, j)
+        acc = mul(acc, gamma)
+    step = ctx._inv(acc)  # gamma^-m
+    for i in range(m):
+        j = baby.get(h)
         if j is not None:
-            return (i * m + j) % qm1
-        cur = mul(cur, step)
+            return i * m + j
+        h = mul(h, step)
     raise RuntimeError(f"discrete log failed in {ctx}")  # unreachable
 
 
@@ -474,8 +487,6 @@ def nth_roots(e, m):
     if e.is_zero():
         return [ctx.zero]
     qm1 = ctx.q - 1
-    if qm1 == 1:
-        return [ctx.one]
     g = generator(ctx)
     k = _dlog(e)
     d = math.gcd(m, qm1)
@@ -684,22 +695,20 @@ def subfield_embed(e, super_ctx):
 
 
 def _embedding_root(sub, super_ctx):
-    """Canonically smallest root of sub's modulus inside super_ctx."""
-    p, m = sub.p, sub.n
-    # the degree-m subfield of super_ctx is the kernel of x^(p^m) - x
-    minus_one = super_ctx.scalar(-1)
-    members = linearized_roots(minus_one, super_ctx.zero, k=m)
-    mod = sub.modulus
-    best = None
-    for x in members:
+    """Canonically smallest root of sub's modulus inside super_ctx: the
+    first one met on an ascending walk of the copy of sub, the kernel of
+    x^(p^m) - x for m = sub.n."""
+    limit = working_limit()
+    if sub.q > limit:
+        raise LimitExceededError(f"embedding {sub} into {super_ctx} walks "
+                                 f"{sub.q} elements, over the limit {limit}")
+    for x in linearized_roots(super_ctx.scalar(-1), super_ctx.zero, k=sub.n):
         acc = super_ctx.zero
-        for c in reversed(mod):
+        for c in reversed(sub.modulus):
             acc = acc * x + c
-        if acc.is_zero() and (best is None or x.v < best.v):
-            best = x
-    if best is None:
-        raise RuntimeError(f"no root of {sub} modulus in {super_ctx}")  # unreachable
-    return best
+        if acc.is_zero():
+            return x
+    raise RuntimeError(f"no root of {sub} modulus in {super_ctx}")  # unreachable
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,7 @@ def _label_class(E, T, base, group, g_classes, degrees):
                             f"no isomorphism over split degrees {degrees}")
     psi = isos[0]
     phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
-    comp = gf.field_create(
-        base.p, math.lcm(phi.field.n, group.field.n), limit=gf.split_limit()
-    )
+    comp = gf.field_create(base.p, math.lcm(phi.field.n, group.field.n))
     phi_key = autmap.embed_isomorphism(phi, comp).param_key()
     index = None
     for k, g in enumerate(group.elements):
@@ -182,9 +180,7 @@ def _label_class(E, T, base, group, g_classes, degrees):
 def enumerate_twists(E, base):
     """One representative curve per twist class of E over `base`.
 
-    First creates each class's split-degree field, ascending, so an input
-    over the split limit fails before any search.  Then takes the
-    base-isomorphism classes of the short models with j(E) from
+    Takes the base-isomorphism classes of the short models with j(E) from
     `_short_classes`, each represented by its least model; their number
     must be the number of twisted classes.  Each representative is
     labelled by `_label_class`.  Entries follow the class order, trivial
@@ -197,8 +193,6 @@ def enumerate_twists(E, base):
         raise ValueError("twist enumeration requires a smooth curve")
     group, g_classes, class_degrees = _class_data(E, base)
     degrees = sorted(set(class_degrees))
-    for d in degrees:
-        gf.field_create(base.p, base.n * d, limit=gf.split_limit())
     reps = _short_classes(base, E.j_invariant())
     if len(reps) != len(g_classes):
         raise autmap._fault(E, base, "finding twists", f"{len(reps)} short-model "

@@ -167,7 +167,7 @@ def exhaustive_isomorphisms(E1, E2, field):
     Scans (u, s, r) with early pruning on the a1 and a2 relations; the
     remaining parameter t is pinned by a linear or linearized equation.
     """
-    if field.q ** 3 > gf.split_limit():
+    if field.q ** 3 > gf.working_limit():
         raise gf.LimitExceededError(
             f"parameter scan over {field} exceeds the configured limit"
         )

@@ -191,18 +191,23 @@ def test_census_respects_field_limit(monkeypatch, capsys):
 
 
 def test_field_limit_blocks_base_field_creation(monkeypatch, capsys):
+    # GF(3^5) is created, but walking its 243 elements is over the limit
     monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
     rc, _ = run(["twists", "--p", "3", "--n", "5", "--curve", "0,0,0,2,0"],
                 capsys)
     assert rc == 2
 
 
-def test_split_limit_exits_before_the_flood(monkeypatch):
+def test_unfactorable_field_exits_before_the_search(monkeypatch):
+    # 2^61 - 1 and 10^18 + 3 are prime: trial division passes the limit
+    # with the cofactor unfactored
     def unreachable(*args):
-        pytest.fail("the classes were searched before the split-limit check")
+        pytest.fail("the classes were searched before the limit check")
 
     monkeypatch.setattr(twists, "_short_classes", unreachable)
-    assert cli.main(["twists", "--p", "2", "--n", "6", "--curve", "0,0,1,0,0"]) == 2
+    assert cli.main(["twists", "--p", "2", "--n", "61", "--curve", "0,0,1,0,0",
+                     "--limit", "1000"]) == 2
+    assert cli.main(["census", "--p", str(10**18 + 3), "--limit", "1000"]) == 2
 
 
 def test_repro_all_pass(capsys):

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -141,7 +143,7 @@ def test_moduli_match_oracle_up_to_2_16():
     (7, 6), (1019, 2), (2039, 2),
 ])
 def test_large_moduli_match_oracle(p, n):
-    assert gf.field_create(p, n, limit=p**n).modulus == smallest_modulus(p, n)
+    assert gf.field_create(p, n).modulus == smallest_modulus(p, n)
 
 
 @pytest.mark.parametrize("p,top", [(2, 12), (3, 7), (5, 5), (7, 4)])
@@ -181,6 +183,53 @@ def test_generator_is_smallest_primitive_element(p, n):
 
     primitive = [e for e in gf.enumerate_field(ctx)[1:] if order(e) == ctx.q - 1]
     assert gf.generator(ctx) == primitive[0]
+
+
+def test_generator_scan_from_p_matches_scan_from_one():
+    # for n > 1 the scan skips the constants 1..p-1, whose orders divide
+    # p - 1; the first generator must not move
+    for p in _primes_below(1 << 12):
+        n = 1
+        while p**n <= 1 << 12:
+            ctx = gf.field_create(p, n)
+            qm1 = ctx.q - 1
+            exponents = [qm1 // ell for ell in _primes_below(qm1 + 1) if qm1 % ell == 0]
+            first = next(k for k in range(1, ctx.q)
+                         if all(ctx.from_canon(k) ** x != 1 for x in exponents))
+            assert gf.generator(ctx).v == first, (p, n)
+            n += 1
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_pohlig_hellman_matches_the_log_table(monkeypatch, p, n):
+    # a fresh context is untabled, so _dlog runs Pohlig-Hellman; the log
+    # table built by enumerating a second context is the oracle
+    tabled = gf.field_create(p, n)
+    gf.enumerate_field(tabled)
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    ctx = gf.field_create(p, n)
+    assert ctx is not tabled and ctx._log is None
+    assert [gf._dlog(ctx.from_canon(k)) for k in range(1, ctx.q)] == \
+        [tabled._log[k] for k in range(1, ctx.q)]
+    assert ctx._log is None
+
+
+@pytest.mark.parametrize("p,n", [(2, 28), (2, 40), (3, 24), (2039, 2)])
+def test_pohlig_hellman_on_untabled_fields(monkeypatch, p, n):
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    ctx = gf.field_create(p, n)
+    g = gf.generator(ctx)
+    rng = random.Random(p * 100 + n)
+    for _ in range(6):
+        e = ctx.from_canon(rng.randrange(1, ctx.q))
+        assert g ** gf._dlog(e) == e
+        for m in (2, 3, 8, 24):
+            target = e ** m
+            roots = gf.nth_roots(target, m)
+            assert len(roots) == math.gcd(m, ctx.q - 1)
+            assert e in roots
+            assert all(x ** m == target for x in roots)
+    assert ctx._log is None
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (3, 3), (5, 2)])
@@ -348,24 +397,55 @@ def test_element_str_round_trip():
 
 
 def test_limits(monkeypatch):
+    # the limit bounds walks, not field sizes
     monkeypatch.delenv(gf.LIMIT_ENV_VAR, raising=False)
     assert gf.working_limit() == gf.DEFAULT_LIMIT
-    assert gf.split_limit() == gf.SPLIT_LIMIT
+    big = gf.field_create(2, 23)
     with pytest.raises(gf.LimitExceededError):
-        gf.field_create(2, 23)
-    gf.field_create(2, 23, limit=1 << 23)  # explicit limit overrides
+        gf.enumerate_field(big)
     monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
     assert gf.working_limit() == 100
+    # checked on every call, also once the field has been enumerated
+    small = gf.field_create(11, 2)
+    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "121")
+    assert len(gf.enumerate_field(small)) == 121
+    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
     with pytest.raises(gf.LimitExceededError):
-        gf.field_create(11, 2)
-    monkeypatch.setenv(gf.LIMIT_ENV_VAR, str(1 << 25))
-    assert gf.split_limit() == 1 << 25
+        gf.enumerate_field(small)
+    # trial division stops past the limit only while a cofactor remains
+    assert gf._factorize(10007) == {10007: 1}
+    with pytest.raises(gf.LimitExceededError):
+        gf._factorize(101 * 103)
+    with pytest.raises(gf.LimitExceededError):
+        gf.field_create(2, 61)  # 2^61 - 1 is prime
     monkeypatch.setenv(gf.LIMIT_ENV_VAR, "bogus")
     with pytest.raises(ValueError):
         gf.working_limit()
     monkeypatch.setenv(gf.LIMIT_ENV_VAR, "1")
     with pytest.raises(ValueError):
         gf.working_limit()
+
+
+def test_large_prime_is_refused_before_it_is_tested(monkeypatch):
+    # the primality test of p is trial division, so it too stops at the limit
+    monkeypatch.delenv(gf.LIMIT_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(gf.LimitExceededError):
+        gf.field_create(10**18 + 3)
+    assert time.perf_counter() - start < 5
+
+
+def test_embedding_walks_count_against_the_limit(monkeypatch):
+    K = gf.field_create(3, 6)
+    x = gf.field_create(3, 3).gen()
+    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "26")
+    monkeypatch.setattr(K, "_embed_cache", {})
+    with pytest.raises(gf.LimitExceededError):
+        gf.subfield_embed(x, K)
+    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "27")
+    root = gf.subfield_embed(x, K)
+    modulus = gf.field_create(3, 3).modulus
+    assert sum(c * root**i for i, c in enumerate(modulus)) == K.zero
 
 
 def test_field_create_errors():

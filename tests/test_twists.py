@@ -209,17 +209,30 @@ def test_orbit_stabilizer_certificate(K):
             assert len(fiber) * stabilizer == _family_order(K, j), R
 
 
-def test_split_fields_are_created_before_the_flood(monkeypatch):
-    # y^2 + y = x^3 over GF(2^6) has classes of split degree 8; GF(2^48)
-    # is over the split limit, and that must end the call before the
-    # classes are searched
-    def unreachable(*args):
-        pytest.fail("the classes were searched before the split-limit check")
-
-    monkeypatch.setattr(twists, "_short_classes", unreachable)
-    F64 = gf.field_create(2, 6)
-    with pytest.raises(gf.LimitExceededError):
-        twists.enumerate_twists(WeierstrassCurve(F64, 0, 0, 1, 0, 0), F64)
+@pytest.mark.parametrize("p, n, coeffs", [
+    (2, 5, (0, 0, 1, 0, 0)), (2, 6, (0, 0, 1, 0, 0)),
+    (3, 3, (0, 0, 0, 2, 0)), (3, 4, (0, 0, 0, 2, 0)),
+    (5003, 1, (0, 0, 0, 2, 1)),
+], ids=["j0/2^5", "j0/2^6", "j0/3^3", "j0/3^4", "generic/5003"])
+def test_twists_past_the_former_split_limit(p, n, coeffs):
+    # the split and labelling fields (GF(2^40), GF(3^18), GF(3^24) and
+    # GF(5003^2) among them) are only used through roots and embeddings, so
+    # no limit stops them
+    F = gf.field_create(p, n)
+    E = WeierstrassCurve(F, *coeffs)
+    report = twists.enumerate_twists(E, F)
+    degrees = sorted(e.split_degree for e in report.entries)
+    if E.j_invariant().is_zero():
+        parity = 0 if n % 2 else 1
+        assert len(report.entries) == twists._EXPECTED_COUNTS[p][parity]
+        assert degrees == twists._EXPECTED_J0_DEGREES[p][parity]
+    else:
+        assert degrees == [1, 2]
+    # Lenstra's mass formula and its point-count form
+    weights = [Fraction(1, len(autmap.find_isomorphisms(e.curve, e.curve, F)))
+               for e in report.entries]
+    assert sum(weights) == 1
+    assert sum(w * e.point_count for w, e in zip(weights, report.entries)) == F.q + 1
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
