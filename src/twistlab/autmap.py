@@ -24,9 +24,19 @@ satisfies it.  Each map is either checked or derived:
   the same way.
 
 Automorphism groups are computed over the minimal extension carrying all
-of them, with a Cayley table by element index; structure analysis
-(orders, conjugacy, center, the full subgroup lattice) works on that
-table alone.
+of them, with a Cayley table by element index.  Structure analysis reads
+that table through two walks only:
+
+- the closure `_subgroup_closure(table, seed)`, the subgroup a seed
+  generates: element orders, cyclic subgroups and the lattice;
+- the twisted class `_twisted_class(G, t, members, perm)`, the set
+  {s^-1 * t * perm(s) : s in members} for an automorphism perm of G on
+  indices: conjugacy classes (perm the identity), normality, and in
+  `twistcoh` the Frobenius-twisted classes and coboundary sets.
+
+Every group that occurs (C2, C4, C6, the order-12 group at p = 3 and
+SL(2,3) at p = 2) has every subgroup generated by two elements, so the
+lattice is the set of closures of pairs.
 """
 
 import math
@@ -409,12 +419,7 @@ class AutGroup:
         return self._index.get(key)
 
     def element_order(self, i):
-        k = 1
-        cur = i
-        while cur != 0:
-            cur = self.cayley[cur][i]
-            k += 1
-        return k
+        return len(_subgroup_closure(self.cayley, (i,)))
 
     def __repr__(self):
         return f"AutGroup(order={self.order}, field={self.field})"
@@ -484,37 +489,51 @@ def _subgroup_closure(table, seed):
     return frozenset(elems)
 
 
+def _twisted_class(G, t, members, perm):
+    """{s^-1 * t * perm(s) : s in members}, for perm an automorphism of G
+    on indices; perm the identity gives t's conjugacy class."""
+    table, inv = G.cayley, G.inverses
+    return frozenset(table[table[inv[s]][t]][perm[s]] for s in members)
+
+
+def _twisted_classes(G, members, perm):
+    """The partition of a subgroup's indices into twisted classes under
+    conjugation by its own members, sorted by least element.
+
+    ValueError when a class leaves the set, which perm must carry to
+    itself."""
+    members = sorted(members)
+    member_set = frozenset(members)
+    seen, classes = set(), []
+    for t in members:
+        if t not in seen:
+            orbit = _twisted_class(G, t, members, perm)
+            if not orbit <= member_set:
+                raise ValueError("index set is not closed under twisted conjugation")
+            seen |= orbit
+            classes.append(orbit)
+    return classes
+
+
 def all_subgroups(G):
     """Every subgroup of G, as SubgroupInfo, sorted by (order, indices).
 
-    Found by closing each known subgroup together with one extra element
-    until no new subgroups appear; feasible because the groups here have
-    order at most 24.
+    Every group here has every subgroup generated by two elements (see
+    the module docstring), so the lattice is the set of closures of pairs
+    (a, b), a <= b; the cyclic subgroups are those of a = b.  A subgroup
+    is normal exactly when it is a union of conjugacy classes.
     """
     if G._subgroups is not None:
         return list(G._subgroups)
-    table = G.cayley
-    found = {frozenset({0})}
-    queue = [frozenset({0})]
-    while queue:
-        H = queue.pop()
-        for g in range(G.order):
-            if g not in H:
-                K = _subgroup_closure(table, H | {g})
-                if K not in found:
-                    found.add(K)
-                    queue.append(K)
-    infos = []
-    for H in found:
-        indices = tuple(sorted(H))
-        order = len(indices)
-        is_cyclic = any(G.element_order(g) == order for g in indices)
-        is_normal = all(
-            table[table[g][h]][G.inverses[g]] in H
-            for g in range(G.order)
-            for h in indices
-        )
-        infos.append(SubgroupInfo(indices, order, is_cyclic, is_normal))
+    table, n = G.cayley, G.order
+    cyclic = {_subgroup_closure(table, (a,)) for a in range(n)}
+    found = {_subgroup_closure(table, (a, b)) for a in range(n) for b in range(a + 1, n)}
+    classes = _twisted_classes(G, range(n), range(n))
+    infos = [
+        SubgroupInfo(tuple(sorted(H)), len(H), H in cyclic,
+                     all(c <= H or H.isdisjoint(c) for c in classes))
+        for H in found | cyclic
+    ]
     infos.sort(key=lambda s: (s.order, s.indices))
     G._subgroups = infos
     return list(infos)
@@ -537,22 +556,11 @@ def group_structure(G):
     negation element of an automorphism group."""
     if G._structure is not None:
         return G._structure
-    table = G.cayley
     n = G.order
-    is_abelian = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
-    element_orders = tuple(G.element_order(i) for i in range(n))
-    seen = [False] * n
-    conj_classes = []
-    for j in range(n):
-        if seen[j]:
-            continue
-        orbit = sorted({table[table[i][j]][G.inverses[i]] for i in range(n)})
-        for m in orbit:
-            seen[m] = True
-        conj_classes.append(tuple(orbit))
-    center = tuple(
-        i for i in range(n) if all(table[i][j] == table[j][i] for j in range(n))
+    conj_classes = tuple(
+        tuple(sorted(c)) for c in _twisted_classes(G, range(n), range(n))
     )
+    center = tuple(c[0] for c in conj_classes if len(c) == 1)
     subgroups = all_subgroups(G)
     counts = {}
     for s in subgroups:
@@ -564,9 +572,9 @@ def group_structure(G):
         raise RuntimeError("negation automorphism missing from the group")
     structure = GroupStructure(
         order=n,
-        is_abelian=is_abelian,
-        element_orders=element_orders,
-        conjugacy_classes=tuple(conj_classes),
+        is_abelian=len(center) == n,
+        element_orders=tuple(G.element_order(i) for i in range(n)),
+        conjugacy_classes=conj_classes,
         center=center,
         subgroups=tuple(subgroups),
         subgroup_counts=counts,

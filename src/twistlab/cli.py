@@ -28,27 +28,6 @@ class UsageError(Exception):
     """Bad flags or unparsable input; reported on stderr with exit 1."""
 
 
-class RunConfig:
-    """Validated inputs for one CLI invocation."""
-
-    __slots__ = (
-        "p", "n", "curve_literal", "short_literal", "subgroup",
-        "field_size_limit", "output",
-    )
-
-    def __init__(self, p=None, n=1, curve_literal=None, short_literal=None,
-                 subgroup=None, field_size_limit=None, output="text"):
-        if field_size_limit is not None and field_size_limit < 2:
-            raise UsageError("--limit must be at least 2")
-        self.p = p
-        self.n = n
-        self.curve_literal = curve_literal
-        self.short_literal = short_literal
-        self.subgroup = subgroup
-        self.field_size_limit = field_size_limit
-        self.output = output
-
-
 def _regroup_tokens(text, count):
     """Split a comma-separated literal, regrouping extension elements.
 
@@ -84,32 +63,24 @@ def _regroup_tokens(text, count):
 
 
 def _parse_elements(text, ctx, count):
-    try:
-        return [gf.element_from_str(lit, ctx) for lit in _regroup_tokens(text, count)]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return [gf.element_from_str(lit, ctx) for lit in _regroup_tokens(text, count)]
 
 
-def _field(cfg):
-    if cfg.p is None:
-        raise UsageError("--p is required")
-    if cfg.n < 1:
+def _field(args):
+    if args.n < 1:
         raise UsageError("--n must be positive")
-    try:
-        return gf.field_create(cfg.p, cfg.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return gf.field_create(args.p, args.n)
 
 
-def _build_curve(cfg):
-    ctx = _field(cfg)
-    if cfg.curve_literal is not None and cfg.short_literal is not None:
+def _build_curve(args):
+    ctx = _field(args)
+    if args.curve is not None and args.short is not None:
         raise UsageError("give --curve or --short, not both")
-    if cfg.curve_literal is not None:
-        coeffs = _parse_elements(cfg.curve_literal, ctx, 5)
+    if args.curve is not None:
+        coeffs = _parse_elements(args.curve, ctx, 5)
         E = WeierstrassCurve(ctx, *coeffs)
-    elif cfg.short_literal is not None:
-        a, b = _parse_elements(cfg.short_literal, ctx, 2)
+    elif args.short is not None:
+        a, b = _parse_elements(args.short, ctx, 2)
         E = from_short(ctx, a, b)
     else:
         raise UsageError("a curve is required: --curve '[a1,a2,a3,a4,a6]' or --short 'a,b'")
@@ -130,8 +101,8 @@ def _text_lines(value, path=""):
         yield f"{path} = {value}"
 
 
-def _emit(cfg, data):
-    if cfg.output == "json":
+def _emit(args, data):
+    if args.json:
         print(json.dumps(data, indent=2))
     else:
         for line in _text_lines(data):
@@ -142,9 +113,9 @@ def _coeff_strs(curve):
     return [gf.element_to_str(c) for c in curve.coefficients]
 
 
-def cmd_automorphisms(cfg):
+def cmd_automorphisms(args):
     """Order, field of definition, elements, and structure of Aut(E)."""
-    E = _build_curve(cfg)
+    E = _build_curve(args)
     G = autmap.automorphism_group(E)
     S = autmap.group_structure(G)
     order_hist = {}
@@ -163,19 +134,19 @@ def cmd_automorphisms(cfg):
         "unique_subgroup_orders": list(S.unique_subgroups),
         "minus_one": autmap.isomorphism_to_str(G.elements[S.minus_one_index]),
     }
-    _emit(cfg, data)
+    _emit(args, data)
     return EXIT_OK
 
 
-def cmd_twists(cfg):
+def cmd_twists(args):
     """All twist classes of the curve with equations, labels, and counts."""
-    E = _build_curve(cfg)
+    E = _build_curve(args)
     report = twists.enumerate_twists(E, E.ctx)
     data = twists.twist_report_json(report)
     counts = twists.point_count_table(report)
     data["point_counts_distinct"] = counts["all_distinct"]
     data["unseparated_pairs"] = counts["unseparated"]
-    _emit(cfg, data)
+    _emit(args, data)
     return EXIT_OK
 
 
@@ -184,11 +155,8 @@ def _resolve_subgroup(action, text):
         body, _, field_lit = text.rpartition("@")
         if not body.endswith(")"):
             raise UsageError(f"bad generator literal {text!r}")
-        try:
-            p_str, _, m_str = field_lit.partition("^")
-            field = gf.field_create(int(p_str), int(m_str) if m_str else 1)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        p_str, _, m_str = field_lit.partition("^")
+        field = gf.field_create(int(p_str), int(m_str) if m_str else 1)
         params = _parse_elements(body[1:-1], field, 4)
         key = tuple(e.canon for e in params)
         group = action.group
@@ -203,23 +171,23 @@ def _resolve_subgroup(action, text):
     return twistcoh.resolve_subgroup(action, text)
 
 
-def cmd_h1(cfg):
+def cmd_h1(args):
     """Twisted classes of Aut(E); with --subgroup, the induced-map report."""
-    E = _build_curve(cfg)
+    E = _build_curve(args)
     G = autmap.automorphism_group(E)
     A = twistcoh.frobenius_action(G, E.ctx)
-    if cfg.subgroup is None:
-        _emit(cfg, twistcoh.class_report(A))
+    if args.subgroup is None:
+        _emit(args, twistcoh.class_report(A))
         return EXIT_OK
-    H = _resolve_subgroup(A, cfg.subgroup)
+    H = _resolve_subgroup(A, args.subgroup)
     report = twistcoh.induced_map(A, H)
-    _emit(cfg, twistcoh.induced_map_report_json(report))
+    _emit(args, twistcoh.induced_map_report_json(report))
     return EXIT_OK
 
 
-def cmd_census(cfg):
+def cmd_census(args):
     """Count of j = 0 classes over the field, with supersingularity flags."""
-    base = _field(cfg)
+    base = _field(args)
     if base.p not in (2, 3):
         raise UsageError("census covers characteristic 2 and 3")
     reps = twists.j_zero_class_representatives(base)
@@ -235,7 +203,7 @@ def cmd_census(cfg):
             for R in reps
         ],
     }
-    _emit(cfg, data)
+    _emit(args, data)
     return EXIT_OK
 
 
@@ -377,12 +345,12 @@ def repro_items():
     return items
 
 
-def cmd_repro(cfg):
+def cmd_repro(args):
     """Run the full reproduction harness; exit 3 on any failed item."""
     items = repro_items()
     ok = all(it["ok"] for it in items)
     data = {"ok": ok, "items": items}
-    if cfg.output == "json":
+    if args.json:
         print(json.dumps(data, indent=2))
     else:
         for it in items:
@@ -439,18 +407,11 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
-        cfg = RunConfig(
-            p=getattr(args, "p", None),
-            n=getattr(args, "n", 1),
-            curve_literal=getattr(args, "curve", None),
-            short_literal=getattr(args, "short", None),
-            subgroup=getattr(args, "subgroup", None),
-            field_size_limit=args.limit,
-            output="json" if args.json else "text",
-        )
-        token = gf.LIMIT_OVERRIDE.set(cfg.field_size_limit)
+        if args.limit is not None and args.limit < 2:
+            raise UsageError("--limit must be at least 2")
+        token = gf.LIMIT_OVERRIDE.set(args.limit)
         try:
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command](args)
         finally:
             gf.LIMIT_OVERRIDE.reset(token)
     except UsageError as exc:

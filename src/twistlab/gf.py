@@ -97,7 +97,10 @@ def _factorize(m):
     d = 2
     while d * d <= m:
         if d > limit:
-            raise LimitExceededError(f"factoring {m} needs divisors past the limit {limit}")
+            # by bit length: the digits of a large m are long, and past
+            # 4300 of them int-to-str conversion itself raises ValueError
+            raise LimitExceededError(f"factoring a {m.bit_length()}-bit number "
+                                     f"needs divisors past the limit {limit}")
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d
@@ -156,18 +159,22 @@ _CTX_CACHE = {}
 def field_create(p, n=1):
     """Construct (or fetch the cached) GF(p^n) context.
 
-    On a cache miss q - 1 is factored first, for `generator` and `_dlog`,
-    so a field out of the limit's reach fails before its modulus search.
+    The cache is read only for int arguments, since a float key such as
+    (2.0, 1) would hit the (2, 1) entry, and p is tested for primality only
+    on a miss.  Then q - 1 is factored, for `generator` and `_dlog`, so a
+    field out of the limit's reach fails before its modulus search.
     """
+    if isinstance(p, int) and isinstance(n, int):
+        ctx = _CTX_CACHE.get((p, n))
+        if ctx is not None:
+            return ctx
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    ctx = _CTX_CACHE.get((p, n))
-    if ctx is None:
-        factors = _factorize(p**n - 1)
-        ctx = _CTX_CACHE[(p, n)] = _smallest_field(p, n)
-        ctx._unit_factors = factors
+    factors = _factorize(p**n - 1)
+    ctx = _CTX_CACHE[(p, n)] = _smallest_field(p, n)
+    ctx._unit_factors = factors
     return ctx
 
 

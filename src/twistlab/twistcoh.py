@@ -161,22 +161,8 @@ def frobenius_action(G, base):
 def _twisted_partition(A, subgroup_indices):
     """Twisted conjugacy classes of the given index set, conjugating only
     by members of that set.  The set must be Frobenius-stable."""
-    table = A.group.cayley
-    inv = A.group.inverses
-    perm = A.perm
-    members = sorted(subgroup_indices)
-    seen = set()
-    classes = []
-    for t in members:
-        if t in seen:
-            continue
-        orbit = {table[table[inv[s]][t]][perm[s]] for s in members}
-        if not orbit <= set(members):
-            raise ValueError("index set is not closed under twisted conjugation")
-        seen |= orbit
-        classes.append(FrobClass(A.group, orbit))
-    classes.sort(key=lambda c: c.rep_index)
-    return classes
+    return [FrobClass(A.group, c)
+            for c in autmap._twisted_classes(A.group, subgroup_indices, A.perm)]
 
 
 def frobenius_classes(A):
@@ -207,33 +193,37 @@ def _values(c):
         yield value
 
 
-def cocycle_order(c):
-    """Least j >= 1 with trivial value at Fr^j.
+def _first_hit(c, targets, failure):
+    """Least j >= 1 with v(j) in targets[j mod len(targets)].
 
-    v(k * m) = v(m)^k for the action order m, so the order is at most
-    |G| * m; a search that runs past that bound is an internal fault.
+    Both callers' answers are at most |G| * m for the action order m,
+    since v(k * m) = v(m)^k; a walk past that bound is an internal fault.
     """
     bound = c.action.group.order * c.action.order
     for j, value in enumerate(itertools.islice(_values(c), bound), 1):
-        if value == 0:
+        if value in targets[j % len(targets)]:
             return j
-    raise RuntimeError(f"{c!r} has no trivial value within {bound} steps")
+    raise RuntimeError(f"{c!r} {failure.format(bound)}")
+
+
+def cocycle_order(c):
+    """Least j >= 1 with trivial value at Fr^j."""
+    return _first_hit(c, [{0}], "has no trivial value within {} steps")
 
 
 def _coboundary_sets(A):
-    """B_r = {sigma^-1 * Fr^r(sigma)} for r modulo the action order.
+    """B_r = {sigma^-1 * Fr^r(sigma)}, the class of the identity under
+    Fr^r, for r modulo the action order.
 
     The twist of a cocycle c splits over the degree-j extension exactly
     when v(j) lies in B_{j mod m}: the restriction of c to the subgroup
     generated by Fr^j is then a coboundary there.
     """
-    table = A.group.cayley
-    inv = A.group.inverses
     n = A.group.order
     sets = []
     perm_r = tuple(range(n))
     for _ in range(A.order):
-        sets.append(frozenset(table[inv[s]][perm_r[s]] for s in range(n)))
+        sets.append(autmap._twisted_class(A.group, 0, range(n), perm_r))
         perm_r = tuple(A.perm[i] for i in perm_r)
     return sets
 
@@ -246,16 +236,9 @@ def splitting_degree(c):
     when its telescoped values first return to the identity later.  Class
     representatives differ too: for y^2 = x^3 + 2x + 1 over GF(3), element
     2 represents a class of splitting degree 2 but has cocycle order 3.
-    The degree never exceeds the cocycle order, so the search stops at
-    |G| * (action order).
+    The degree never exceeds the cocycle order.
     """
-    bound = c.action.group.order * c.action.order
-    coboundaries = _coboundary_sets(c.action)
-    m = c.action.order
-    for j, value in enumerate(itertools.islice(_values(c), bound), 1):
-        if value in coboundaries[j % m]:
-            return j
-    raise RuntimeError(f"{c!r} does not split within degree {bound}")
+    return _first_hit(c, _coboundary_sets(c.action), "does not split within degree {}")
 
 
 def stable_subgroups(A):
@@ -307,14 +290,9 @@ def cyclic_subgroup(A, image):
     idx = image if isinstance(image, int) else A.group.index_of(image)
     if idx is None or not 0 <= idx < A.group.order:
         raise ValueError("generator is not an element of the group")
-    table = A.group.cayley
-    powers = {0}
-    current = idx
-    while current not in powers:
-        powers.add(current)
-        current = table[current][idx]
+    indices = tuple(sorted(autmap._subgroup_closure(A.group.cayley, (idx,))))
     for info in autmap.all_subgroups(A.group):
-        if set(info.indices) == powers:
+        if info.indices == indices:
             return info
     raise RuntimeError("cyclic closure missing from the subgroup lattice")
 

@@ -330,3 +330,123 @@ def j_invariant_oracle(E):
     """c4^3 / discriminant, or None for a singular equation."""
     c4, disc = (_evaluate(f, E.coefficients) for f in _c4_and_discriminant())
     return None if disc.is_zero() else c4 ** 3 / disc
+
+
+# walks over an automorphism group's Cayley table, one loop per question
+
+# curves whose groups the walks are compared on, as (p, n, coefficients):
+# j = 0 in characteristic 2 and 3, j = 0 and 1728 for p >= 5, and generic j
+WALK_CURVES = (
+    [(2, n, (0, 0, 1, 0, 0)) for n in range(1, 5)]
+    + [(3, n, (0, 0, 0, -1, 0)) for n in range(1, 5)]
+    + [(p, 1, c) for p in (5, 7, 13) for c in ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0))]
+    + [(2, 3, (1, 0, 0, 0, 1)), (3, 3, (0, 1, 0, 0, 1))]
+)
+
+
+def power_order(G, i):
+    """Order of element i: multiply by i until the identity comes back."""
+    k, cur = 1, i
+    while cur != 0:
+        cur = G.cayley[cur][i]
+        k += 1
+    return k
+
+
+def conjugacy_classes(G):
+    """Classes {g * t * g^-1 : g in G}, each sorted, by least element."""
+    table, inv, n = G.cayley, G.inverses, G.order
+    seen, classes = set(), []
+    for t in range(n):
+        if t not in seen:
+            orbit = tuple(sorted({table[table[g][t]][inv[g]] for g in range(n)}))
+            seen.update(orbit)
+            classes.append(orbit)
+    return classes
+
+
+def center(G):
+    """The elements commuting with every element, by a full table scan."""
+    table, n = G.cayley, G.order
+    return tuple(i for i in range(n) if all(table[i][j] == table[j][i] for j in range(n)))
+
+
+def _product_closure(table, elems):
+    """The subgroup generated by elems: add pairwise products until none is new."""
+    elems = set(elems) | {0}
+    while True:
+        new = {table[a][b] for a in elems for b in elems} - elems
+        if not new:
+            return frozenset(elems)
+        elems |= new
+
+
+def fixpoint_subgroups(G):
+    """Every subgroup as (indices, order, is_cyclic, is_normal), sorted.
+
+    Found by closing each known subgroup together with one more element
+    until no new subgroup appears, which assumes nothing about the number
+    of generators; cyclic when an element's power order is the subgroup
+    order, normal when every conjugate of a member is a member.
+    """
+    table, inv, n = G.cayley, G.inverses, G.order
+    found = {frozenset({0})}
+    queue = [frozenset({0})]
+    while queue:
+        H = queue.pop()
+        for g in range(n):
+            if g not in H:
+                K = _product_closure(table, H | {g})
+                if K not in found:
+                    found.add(K)
+                    queue.append(K)
+    out = []
+    for H in found:
+        indices = tuple(sorted(H))
+        order = len(indices)
+        is_cyclic = any(power_order(G, h) == order for h in indices)
+        is_normal = all(table[table[g][h]][inv[g]] in H for g in range(n) for h in indices)
+        out.append((indices, order, is_cyclic, is_normal))
+    return sorted(out, key=lambda s: (s[1], s[0]))
+
+
+def twisted_partition(A, members):
+    """Classes {s^-1 * t * Fr(s) : s in members} of a Frobenius-stable
+    subgroup, each sorted, by least element."""
+    table, inv, perm = A.group.cayley, A.group.inverses, A.perm
+    seen, classes = set(), []
+    for t in sorted(members):
+        if t not in seen:
+            orbit = tuple(sorted({table[table[inv[s]][t]][perm[s]] for s in members}))
+            seen.update(orbit)
+            classes.append(orbit)
+    return sorted(classes)
+
+
+def coboundary_sets(A):
+    """B_r = {s^-1 * Fr^r(s) : s in G} for r = 0 .. action order - 1."""
+    table, inv, n = A.group.cayley, A.group.inverses, A.group.order
+    sets = []
+    for r in range(A.order):
+        images = range(n)
+        for _ in range(r):
+            images = [A.perm[i] for i in images]
+        sets.append(frozenset(table[inv[s]][images[s]] for s in range(n)))
+    return sets
+
+
+def cocycle_walk(A, phi):
+    """(cocycle order, splitting degree) of the cocycle with value phi at
+    Frobenius, from v(j + 1) = v(j) * Fr^j(phi) over |G| * m steps."""
+    table, perm = A.group.cayley, A.perm
+    cob = coboundary_sets(A)
+    order = degree = None
+    value, fr_phi = 0, phi
+    for j in range(1, A.group.order * A.order + 1):
+        value = table[value][fr_phi]
+        fr_phi = perm[fr_phi]
+        if order is None and value == 0:
+            order = j
+        if degree is None and value in cob[j % A.order]:
+            degree = j
+    return order, degree

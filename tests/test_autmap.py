@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 from twistlab import autmap, gf, twists
 from twistlab.curve import WeierstrassCurve, from_short
 
+import oracles
 from oracles import assert_transforms, exhaustive_isomorphisms
 
 F2 = gf.field_create(2)
@@ -444,3 +445,18 @@ def test_derived_maps_satisfy_the_identity_on_random_models(p, n, data):
     for a in autmap.find_isomorphisms(E0, E0, K):
         assert_transforms(a)
         assert_transforms(autmap.galois_apply(a, k))
+
+
+@pytest.mark.parametrize("p,n,coeffs", oracles.WALK_CURVES,
+                         ids=[f"{p}^{n}-{c}" for p, n, c in oracles.WALK_CURVES])
+def test_structure_matches_direct_walks(p, n, coeffs):
+    # lattice of pair closures, orders by closure size and classes by the
+    # twisted-class helper against the fixpoint, power and conjugation loops
+    G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+    S = autmap.group_structure(G)
+    lattice = [(H.indices, H.order, H.is_cyclic, H.is_normal) for H in S.subgroups]
+    assert lattice == oracles.fixpoint_subgroups(G)
+    assert list(S.conjugacy_classes) == oracles.conjugacy_classes(G)
+    assert S.element_orders == tuple(oracles.power_order(G, i) for i in range(G.order))
+    assert S.center == oracles.center(G)
+    assert S.is_abelian == (len(oracles.center(G)) == G.order)

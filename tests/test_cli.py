@@ -198,16 +198,19 @@ def test_field_limit_blocks_base_field_creation(monkeypatch, capsys):
     assert rc == 2
 
 
-def test_unfactorable_field_exits_before_the_search(monkeypatch):
+def test_unfactorable_field_exits_before_the_search(monkeypatch, capsys):
     # 2^61 - 1 and 10^18 + 3 are prime: trial division passes the limit
-    # with the cofactor unfactored
+    # with the cofactor unfactored; 3^10000 - 1 has over 4300 digits, past
+    # Python's int-to-str cap, so the message must not print them
     def unreachable(*args):
         pytest.fail("the classes were searched before the limit check")
 
     monkeypatch.setattr(twists, "_short_classes", unreachable)
-    assert cli.main(["twists", "--p", "2", "--n", "61", "--curve", "0,0,1,0,0",
-                     "--limit", "1000"]) == 2
-    assert cli.main(["census", "--p", str(10**18 + 3), "--limit", "1000"]) == 2
+    for argv in (["twists", "--p", "2", "--n", "61", "--curve", "0,0,1,0,0"],
+                 ["census", "--p", str(10**18 + 3)],
+                 ["census", "--p", "3", "--n", "10000"]):
+        assert cli.main(argv + ["--limit", "1000"]) == 2
+        assert len(capsys.readouterr().err) < 200
 
 
 def test_repro_all_pass(capsys):

@@ -457,6 +457,19 @@ def test_field_create_errors():
         gf.field_create(2.0)
 
 
+def test_cache_hit_skips_the_primality_test(monkeypatch):
+    F9 = gf.field_create(3, 2)
+
+    def unreachable(m):
+        pytest.fail("a cached field was tested for primality")
+
+    monkeypatch.setattr(gf, "is_prime", unreachable)
+    assert gf.field_create(3, 2) is F9
+    # a float never reaches the cache, where (2.0, 1) would hit (2, 1)
+    with pytest.raises(ValueError):
+        gf.field_create(2.0)
+
+
 def test_context_identity_and_cache():
     a = gf.field_create(3, 2)
     b = gf.field_create(3, 2)

@@ -8,6 +8,8 @@ import pytest
 from twistlab import autmap, gf, twistcoh
 from twistlab.curve import WeierstrassCurve, from_short
 
+import oracles
+
 GOLDEN = Path(__file__).parent / "golden"
 
 F2 = gf.field_create(2)
@@ -431,3 +433,25 @@ def test_cocycle_construction_errors(G12):
         twistcoh.Cocycle(A, autmap.minus_one_map(E2, gf.field_create(2, 2)))
     c = twistcoh.Cocycle(A, G12.elements[3])
     assert c.index == 3
+
+
+@pytest.mark.parametrize("p,n,coeffs", oracles.WALK_CURVES,
+                         ids=[f"{p}^{n}-{c}" for p, n, c in oracles.WALK_CURVES])
+def test_twisted_walks_match_direct_walks(p, n, coeffs):
+    # every base between the curve's field and the group's field
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    G = autmap.automorphism_group(E)
+    for d in range(1, G.field.n // n + 1):
+        if G.field.n % (n * d):
+            continue
+        A = twistcoh.frobenius_action(G, gf.field_create(p, n * d))
+        assert ([c.indices for c in twistcoh.frobenius_classes(A)]
+                == oracles.twisted_partition(A, range(G.order)))
+        for H in twistcoh.stable_subgroups(A):
+            assert ([c.indices for c in twistcoh._twisted_partition(A, H.indices)]
+                    == oracles.twisted_partition(A, H.indices))
+        assert twistcoh._coboundary_sets(A) == oracles.coboundary_sets(A)
+        for i in range(G.order):
+            c = twistcoh.Cocycle(A, i)
+            assert ((twistcoh.cocycle_order(c), twistcoh.splitting_degree(c))
+                    == oracles.cocycle_walk(A, i))
