@@ -4,17 +4,17 @@ For each ground field GF(p^n) with p in {2, 3} and n up to 4 this
 recomputes the number of twist classes of a j = 0 curve and a j != 0
 curve, their splitting degrees, and the independent census of j = 0
 isomorphism classes, then checks everything against the expected
-tables.
+tables.  `verify_twist_tables` returns each comparison as a
+{"name", "expected", "computed", "ok"} record, the shape of the
+`twist_tables/...` items that `twistlab repro --json` prints.
 """
 
 from twistlab import verify_twist_tables
-from twistlab.twists import verdict_report_json
 
 failures = 0
 for p in (2, 3):
     for n in range(1, 5):
-        report = verify_twist_tables(p, n)
-        doc = verdict_report_json(report)
+        doc = verify_twist_tables(p, n)
         print(f"GF({p}^{n}):")
         for item in doc["items"]:
             mark = "ok  " if item["ok"] else "FAIL"

@@ -569,7 +569,8 @@ def group_structure(G):
     minus = minus_one_map(G.curve, G.field)
     minus_index = G.index_of(minus)
     if minus_index is None:
-        raise RuntimeError("negation automorphism missing from the group")
+        raise _fault(G.curve, G.field, "group structure",
+                     "negation automorphism missing from the group")
     structure = GroupStructure(
         order=n,
         is_abelian=len(center) == n,

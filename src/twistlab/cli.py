@@ -16,6 +16,7 @@ import sys
 
 from . import autmap, gf, twistcoh, twists
 from .curve import WeierstrassCurve, from_short
+from .twists import check_item
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,15 +229,6 @@ _SHIFT_PAIR_3_2 = [[1, 1, 0, 0], [1, 2, 0, 0]]
 _EXAMPLE_KERNELS = {5: 1, 7: 2, 11: 2, 13: 1}
 
 
-def _item(name, expected, computed):
-    return {
-        "name": name,
-        "expected": expected,
-        "computed": computed,
-        "ok": expected == computed,
-    }
-
-
 def _class_sets(action):
     """Each twisted class as a sorted list of parameter lists, classes sorted."""
     group = action.group
@@ -262,10 +254,8 @@ def _label_items(items, G3, G2):
             )
             got = "trivial" if cls.is_trivial() else "nontrivial"
             u, r, s, t = key
-            items.append(
-                _item(f"frobenius_label/{base.p}^{base.n}/u{u}_r{r}_s{s}_t{t}",
-                      want, got)
-            )
+            items.append(check_item(
+                f"frobenius_label/{base.p}^{base.n}/u{u}_r{r}_s{s}_t{t}", want, got))
 
 
 def _example_items(items):
@@ -273,23 +263,18 @@ def _example_items(items):
     for q, kernel in _EXAMPLE_KERNELS.items():
         F = gf.field_create(q)
         E = WeierstrassCurve(F, 0, 0, 0, -1, 0)
-        G = autmap.automorphism_group(E)
-        A = twistcoh.frobenius_action(G, F)
-        H = twistcoh.resolve_subgroup(A, "minus-one")
-        report = twistcoh.induced_map(A, H)
-        items.append(_item(f"quadratic_capitulation/{q}/kernel_size",
-                           kernel, report.kernel_size))
-        squares = {(x * x).canon for x in gf.enumerate_field(F)[1:]}
-        nonsquares = [x for x in gf.enumerate_field(F)[1:]
-                      if x.canon not in squares]
+        induced = twistcoh.capitulation_report(E, F, "minus-one").induced
+        items.append(check_item(f"quadratic_capitulation/{q}/kernel_size",
+                                kernel, induced.kernel_size))
+        nonsquares = [x for x in gf.enumerate_field(F)[1:] if not gf.is_square(x)]
         trivial = [
             bool(autmap.find_isomorphisms(E, twists.quadratic_twist(E, d), F))
             for d in nonsquares
         ]
-        items.append(_item(f"quadratic_capitulation/{q}/nonsquare_twists_trivial",
-                           q % 4 == 3, all(trivial) and bool(trivial)))
-        items.append(_item(f"quadratic_capitulation/{q}/twists_consistent",
-                           True, len(set(trivial)) == 1))
+        items.append(check_item(f"quadratic_capitulation/{q}/nonsquare_twists_trivial",
+                                q % 4 == 3, all(trivial) and bool(trivial)))
+        items.append(check_item(f"quadratic_capitulation/{q}/twists_consistent",
+                                True, len(set(trivial)) == 1))
 
 
 def _listing_items(items, G3, G2):
@@ -297,44 +282,40 @@ def _listing_items(items, G3, G2):
     F3, F9 = gf.field_create(3), gf.field_create(3, 2)
     F2, F4 = gf.field_create(2), gf.field_create(2, 2)
     A31 = twistcoh.frobenius_action(G3, F3)
-    items.append(_item("class_listing/3^1/partition", _CLASSES_3_1,
-                       _class_sets(A31)))
+    items.append(check_item("class_listing/3^1/partition", _CLASSES_3_1,
+                            _class_sets(A31)))
     A32 = twistcoh.frobenius_action(G3, F9)
     sets32 = _class_sets(A32)
-    items.append(_item("class_listing/3^2/sizes", [1, 1, 2, 2, 3, 3],
-                       sorted(len(c) for c in sets32)))
-    items.append(_item("class_listing/3^2/shift_pair_is_a_class", True,
-                       _SHIFT_PAIR_3_2 in sets32))
+    items.append(check_item("class_listing/3^2/sizes", [1, 1, 2, 2, 3, 3],
+                            sorted(len(c) for c in sets32)))
+    items.append(check_item("class_listing/3^2/shift_pair_is_a_class", True,
+                            _SHIFT_PAIR_3_2 in sets32))
     A21 = twistcoh.frobenius_action(G2, F2)
     sets21 = _class_sets(A21)
-    items.append(_item("class_listing/2^1/sizes", [6, 6, 12],
-                       sorted(len(c) for c in sets21)))
-    items.append(_item("class_listing/2^1/trivial_class_members",
-                       _TRIVIAL_CLASS_2_1, sets21[0]))
+    items.append(check_item("class_listing/2^1/sizes", [6, 6, 12],
+                            sorted(len(c) for c in sets21)))
+    items.append(check_item("class_listing/2^1/trivial_class_members",
+                            _TRIVIAL_CLASS_2_1, sets21[0]))
     orders21 = sorted(
         twistcoh.cocycle_order(twistcoh.Cocycle(A21, c.rep_index))
         for c in twistcoh.frobenius_classes(A21) if not c.is_trivial()
     )
-    items.append(_item("class_listing/2^1/nontrivial_cocycle_orders",
-                       [8, 8], orders21))
+    items.append(check_item("class_listing/2^1/nontrivial_cocycle_orders",
+                            [8, 8], orders21))
     A22 = twistcoh.frobenius_action(G2, F4)
     degrees22 = sorted(
         twistcoh.splitting_degree(twistcoh.Cocycle(A22, c.rep_index))
         for c in twistcoh.frobenius_classes(A22)
     )
-    items.append(_item("class_listing/2^2/split_degrees",
-                       [1, 2, 3, 3, 4, 6, 6], degrees22))
+    items.append(check_item("class_listing/2^2/split_degrees",
+                            [1, 2, 3, 3, 4, 6, 6], degrees22))
 
 
 def repro_items():
     """Every checkable table as one pass/fail record."""
-    items = []
-    for p in (2, 3):
-        for n in (1, 2, 3, 4):
-            verdict = twists.verify_twist_tables(p, n)
-            for it in verdict.items:
-                items.append(_item(f"twist_tables/{p}^{n}/{it.name}",
-                                   it.expected, it.computed))
+    items = [dict(it, name=f"twist_tables/{p}^{n}/{it['name']}")
+             for p in (2, 3) for n in (1, 2, 3, 4)
+             for it in twists.verify_twist_tables(p, n)["items"]]
     _example_items(items)
     G3 = autmap.automorphism_group(
         WeierstrassCurve(gf.field_create(3), 0, 0, 0, -1, 0))

@@ -18,6 +18,8 @@ import itertools
 
 from . import autmap, gf
 
+_ACTION_STAGE = "Frobenius action on the automorphisms"
+
 
 class FrobAction:
     """Frobenius acting on an automorphism group, as an index permutation.
@@ -34,7 +36,7 @@ class FrobAction:
         self.base = base
         self.perm = tuple(perm)
         n = group.order
-        stage = "Frobenius action on the automorphisms"
+        stage = _ACTION_STAGE
         if sorted(self.perm) != list(range(n)):
             raise autmap._fault(group.curve, base, stage,
                                 "Frobenius map is not a permutation of the group")
@@ -153,7 +155,8 @@ def frobenius_action(G, base):
     for f in G.elements:
         k = G.index_of_key(tuple(gf.frobenius(x, base.n).canon for x in f.params))
         if k is None:
-            raise RuntimeError("Frobenius carries an automorphism outside the group")
+            raise autmap._fault(G.curve, base, _ACTION_STAGE,
+                                "Frobenius carries an automorphism outside the group")
         perm.append(k)
     return FrobAction(G, base, perm)
 
@@ -193,22 +196,23 @@ def _values(c):
         yield value
 
 
-def _first_hit(c, targets, failure):
+def _first_hit(c, targets, stage, failure):
     """Least j >= 1 with v(j) in targets[j mod len(targets)].
 
     Both callers' answers are at most |G| * m for the action order m,
     since v(k * m) = v(m)^k; a walk past that bound is an internal fault.
     """
-    bound = c.action.group.order * c.action.order
+    A = c.action
+    bound = A.group.order * A.order
     for j, value in enumerate(itertools.islice(_values(c), bound), 1):
         if value in targets[j % len(targets)]:
             return j
-    raise RuntimeError(f"{c!r} {failure.format(bound)}")
+    raise autmap._fault(A.group.curve, A.base, stage, f"{c!r} {failure.format(bound)}")
 
 
 def cocycle_order(c):
     """Least j >= 1 with trivial value at Fr^j."""
-    return _first_hit(c, [{0}], "has no trivial value within {} steps")
+    return _first_hit(c, [{0}], "cocycle order", "has no trivial value within {} steps")
 
 
 def _coboundary_sets(A):
@@ -238,7 +242,8 @@ def splitting_degree(c):
     2 represents a class of splitting degree 2 but has cocycle order 3.
     The degree never exceeds the cocycle order.
     """
-    return _first_hit(c, _coboundary_sets(c.action), "does not split within degree {}")
+    return _first_hit(c, _coboundary_sets(c.action), "splitting degree",
+                      "does not split within degree {}")
 
 
 def stable_subgroups(A):
@@ -294,7 +299,8 @@ def cyclic_subgroup(A, image):
     for info in autmap.all_subgroups(A.group):
         if info.indices == indices:
             return info
-    raise RuntimeError("cyclic closure missing from the subgroup lattice")
+    raise autmap._fault(A.group.curve, A.base, "cyclic subgroup",
+                        "cyclic closure missing from the subgroup lattice")
 
 
 class InducedMapReport:

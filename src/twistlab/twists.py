@@ -13,7 +13,8 @@ of one j-invariant in closed form, from coset minima of the scalings and
 GF(p)-linear echelons of the shifts, so no field is enumerated.  It also
 provides the standard one-parameter twist constructors (quadratic,
 Artin-Schreier, unit), separates twists by point counts, and checks the
-expected count/degree/census tables for characteristic 2 and 3.
+expected count/degree/census tables for characteristic 2 and 3 as
+`check_item` records, the pass/fail lines `twistlab repro --json` prints.
 """
 
 import math
@@ -303,38 +304,10 @@ def j_zero_class_census(base):
     return len(j_zero_class_representatives(base))
 
 
-class LineItem:
-    """One compared quantity in a verdict report."""
-
-    __slots__ = ("name", "expected", "computed", "ok")
-
-    def __init__(self, name, expected, computed):
-        self.name = name
-        self.expected = expected
-        self.computed = computed
-        self.ok = expected == computed
-
-    def __repr__(self):
-        mark = "pass" if self.ok else "FAIL"
-        return f"LineItem({self.name}: expected {self.expected}, got {self.computed} [{mark}])"
-
-
-class VerdictReport:
-    """Pass/fail line items for the expected twist tables over one field."""
-
-    __slots__ = ("base", "items")
-
-    def __init__(self, base, items):
-        self.base = base
-        self.items = tuple(items)
-
-    @property
-    def ok(self):
-        return all(item.ok for item in self.items)
-
-    def __repr__(self):
-        status = "ok" if self.ok else "FAILED"
-        return f"VerdictReport(base={self.base}, items={len(self.items)}, {status})"
+def check_item(name, expected, computed):
+    """One pass/fail record, JSON-ready with stable key order."""
+    return {"name": name, "expected": expected, "computed": computed,
+            "ok": expected == computed}
 
 
 _J0_CURVES = {2: (0, 0, 1, 0, 0), 3: (0, 0, 0, -1, 0)}
@@ -351,8 +324,9 @@ def verify_twist_tables(p, n):
 
     Covers characteristic 2 and 3: a j = 0 curve and a j != 0 curve are
     classified and the results compared with the expected tables (counts
-    3/7 or 4/6 by parity for j = 0, always 2 otherwise).  Failures are
-    reported as data, not raised.
+    3/7 or 4/6 by parity for j = 0, always 2 otherwise).  Returns
+    {"base": "p^n", "ok", "items"} with one `check_item` record per
+    quantity; failures are reported as data, not raised.
     """
     if p not in (2, 3):
         raise ValueError("verification tables cover characteristic 2 and 3")
@@ -367,13 +341,13 @@ def verify_twist_tables(p, n):
     E1 = WeierstrassCurve(base, *_JNZ_CURVES[p])
     _, classes1, degrees1 = _class_data(E1, base)
     items = [
-        LineItem("j_zero_twist_count", expected_count, len(classes0)),
-        LineItem("j_zero_split_degrees", expected_degrees, sorted(degrees0)),
-        LineItem("j_nonzero_twist_count", 2, len(classes1)),
-        LineItem("j_nonzero_split_degrees", [1, 2], sorted(degrees1)),
-        LineItem("j_zero_class_census", expected_count, j_zero_class_census(base)),
+        check_item("j_zero_twist_count", expected_count, len(classes0)),
+        check_item("j_zero_split_degrees", expected_degrees, sorted(degrees0)),
+        check_item("j_nonzero_twist_count", 2, len(classes1)),
+        check_item("j_nonzero_split_degrees", [1, 2], sorted(degrees1)),
+        check_item("j_zero_class_census", expected_count, j_zero_class_census(base)),
     ]
-    return VerdictReport(base=f"{p}^{n}", items=items)
+    return {"base": f"{p}^{n}", "ok": all(it["ok"] for it in items), "items": items}
 
 
 def twist_report_json(report):
@@ -392,22 +366,5 @@ def twist_report_json(report):
                 "points": e.point_count,
             }
             for e in report.entries
-        ],
-    }
-
-
-def verdict_report_json(report):
-    """JSON-ready form of a VerdictReport, with stable key order."""
-    return {
-        "base": report.base,
-        "ok": report.ok,
-        "items": [
-            {
-                "name": item.name,
-                "expected": item.expected,
-                "computed": item.computed,
-                "ok": item.ok,
-            }
-            for item in report.items
         ],
     }

@@ -450,3 +450,27 @@ def cocycle_walk(A, phi):
         if degree is None and value in cob[j % A.order]:
             degree = j
     return order, degree
+
+
+# certificates that check class data without an isomorphism search between
+# distinct curves; neither catches two classes of equal size swapping labels
+
+def frobenius_fixed_classes(A):
+    """The conjugacy classes C of A.group with Fr(C) == C.
+
+    Brauer's permutation lemma: Frobenius permutes the conjugacy classes
+    and the twisted classes alike, so there are as many fixed conjugacy
+    classes as twisted classes {s^-1 * t * Fr(s)}.
+    """
+    return [C for C in conjugacy_classes(A.group)
+            if sorted(A.perm[i] for i in C) == list(C)]
+
+
+def orbit_stabilizer_products(report):
+    """Per twist entry, its class size times the order of Aut(T) over the base.
+
+    The stabilizer of t under s: t -> s^-1 * t * Fr(s) is Aut(T) over the
+    base for the twist T of t, so each product is the order of Aut(E).
+    """
+    return [e.frob_class.size * len(find_isomorphisms(e.curve, e.curve, report.base))
+            for e in report.entries]

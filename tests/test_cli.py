@@ -1,12 +1,13 @@
 """Command line behavior: outputs, exit codes, and the repro harness."""
 
+import itertools
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from twistlab import autmap, cli, gf, twists
+from twistlab import autmap, cli, gf, twistcoh, twists
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -226,6 +227,26 @@ def test_repro_all_pass(capsys):
         assert any(name.startswith(prefix) for name in names)
 
 
+def test_repro_and_verify_twist_tables_report_one_record(capsys):
+    rc, doc = run_json(["repro"], capsys)
+    assert rc == 0
+    assert all(list(item) == ["name", "expected", "computed", "ok"]
+               for item in doc["items"])
+    for p in (2, 3):
+        for n in range(1, 5):
+            report = twists.verify_twist_tables(p, n)
+            assert list(report) == ["base", "ok", "items"]
+            assert report["base"] == f"{p}^{n}" and report["ok"] is True
+            prefix = f"twist_tables/{p}^{n}/"
+            got = [item for item in doc["items"] if item["name"].startswith(prefix)]
+            assert got == [dict(item, name=prefix + item["name"])
+                           for item in report["items"]]
+            assert json.loads(json.dumps(report)) == report
+    for p, n in ((5, 1), (3, 0)):
+        with pytest.raises(ValueError):
+            twists.verify_twist_tables(p, n)
+
+
 def test_repro_text_lines(capsys):
     rc, out = run(["repro"], capsys)
     assert rc == 0
@@ -270,6 +291,40 @@ def test_automorphism_invariant_failure_names_curve_field_and_stage(monkeypatch,
     assert captured.err == (
         "internal error: automorphism group of 0,0,0,2,0 over GF(3): "
         "automorphism search found 12 of 5 elements\n")
+
+
+_MINUS_ONE_3_2 = "(3^2:2,0,3^2:0,0,3^2:0,0,3^2:0,0)@3^2"
+
+
+@pytest.mark.parametrize("owner, name, fault, argv, err", [
+    (autmap.AutGroup, "index_of_key", lambda self, key: None, ["h1"],
+     "Frobenius action on the automorphisms of 0,0,0,2,0 over GF(3): "
+     "Frobenius carries an automorphism outside the group"),
+    (autmap.AutGroup, "index_of", lambda self, f: None, ["automorphisms"],
+     "group structure of 0,0,0,2,0 over GF(3^2): "
+     "negation automorphism missing from the group"),
+    (autmap, "all_subgroups", lambda G: [], ["h1", "--subgroup", _MINUS_ONE_3_2],
+     "cyclic subgroup of 0,0,0,2,0 over GF(3): "
+     "cyclic closure missing from the subgroup lattice"),
+    (twistcoh, "_values", lambda c: itertools.repeat(1), ["h1"],
+     "cocycle order of 0,0,0,2,0 over GF(3): "
+     "Cocycle(image=(3^2:1,0,3^2:0,0,3^2:0,0,3^2:0,0)@3^2) "
+     "has no trivial value within 24 steps"),
+    (twistcoh, "_values", lambda c: itertools.repeat(1), ["twists"],
+     "splitting degree of 0,0,0,2,0 over GF(3): "
+     "Cocycle(image=(3^2:1,0,3^2:0,0,3^2:0,0,3^2:0,0)@3^2) "
+     "does not split within degree 24"),
+], ids=["frobenius-action", "negation", "cyclic-closure", "cocycle-order",
+        "splitting-degree"])
+def test_group_invariant_failures_name_curve_field_and_stage(
+        monkeypatch, capsys, owner, name, fault, argv, err):
+    # each fault is made to fire by breaking the lookup or walk it guards
+    monkeypatch.setattr(owner, name, fault)
+    rc = cli.main(argv[:1] + ["--p", "3", "--curve", "0,0,0,2,0"] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == f"internal error: {err}\n"
 
 
 def test_repro_detects_regression(monkeypatch, capsys):

@@ -445,8 +445,9 @@ def test_twisted_walks_match_direct_walks(p, n, coeffs):
         if G.field.n % (n * d):
             continue
         A = twistcoh.frobenius_action(G, gf.field_create(p, n * d))
-        assert ([c.indices for c in twistcoh.frobenius_classes(A)]
-                == oracles.twisted_partition(A, range(G.order)))
+        classes = twistcoh.frobenius_classes(A)
+        assert [c.indices for c in classes] == oracles.twisted_partition(A, range(G.order))
+        assert len(classes) == len(oracles.frobenius_fixed_classes(A))
         for H in twistcoh.stable_subgroups(A):
             assert ([c.indices for c in twistcoh._twisted_partition(A, H.indices)]
                     == oracles.twisted_partition(A, H.indices))
