@@ -5,11 +5,12 @@ A curve is a long Weierstrass equation
     y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6
 
 with coefficients in one FieldCtx.  Points are None (the point at
-infinity) or (x, y) tuples of field elements.  Everything here is exact
-and exhaustive; the fields in scope are small enough that per-x-column
-point enumeration is the right tool.  A curve is never changed after
-construction, so its discriminant, j-invariant and points are each
-computed once, on first use.
+infinity) or (x, y) tuples of field elements.  Everything here is exact.
+A point count is a character sum over the field's canonical ints, one
+walk of q values with no point built; `enumerate_points` is the
+exhaustive listing, for callers that need the points themselves.  A curve
+is never changed after construction, so its discriminant, j-invariant,
+point count and points are each computed once, on first use.
 """
 
 from . import gf
@@ -18,7 +19,8 @@ from . import gf
 class WeierstrassCurve:
     """A long Weierstrass equation over a fixed finite field."""
 
-    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_disc", "_j", "_points")
+    __slots__ = ("ctx", "a1", "a2", "a3", "a4", "a6", "_disc", "_j", "_count",
+                 "_points")
 
     def __init__(self, ctx, a1, a2, a3, a4, a6):
         self.ctx = ctx
@@ -29,6 +31,7 @@ class WeierstrassCurve:
         self.a1, self.a2, self.a3, self.a4, self.a6 = coeffs
         self._disc = None
         self._j = None
+        self._count = None
         self._points = None
 
     @property
@@ -94,9 +97,11 @@ class WeierstrassCurve:
     def enumerate_points(self):
         """All affine points plus infinity, x-column by x-column (cached).
 
-        Each x costs one root step: a square root (None when there is
-        none) for odd p, and for p = 2 one solve of w^2 + w = c against
-        the field's cached Artin-Schreier basis.
+        The exhaustive listing: it builds every field element and every
+        point, so counting uses `point_count` instead.  Each x costs one
+        root step: a square root (None when there is none) for odd p, and
+        for p = 2 one solve of w^2 + w = c against the field's cached
+        Artin-Schreier basis.
         """
         if self._points is not None:
             return list(self._points)
@@ -132,7 +137,31 @@ class WeierstrassCurve:
         return list(points)
 
     def point_count(self):
-        return len(self.enumerate_points())
+        """#E(F_q), the point at infinity included (cached).
+
+        N = 1 + (the number of y at each x, summed over x), which is q + 1
+        plus a character sum, computed on canonical ints with the field's
+        kernels: no point and no `FieldElem` is built.  It walks the q
+        values of x, so it is held to the working limit like
+        `gf.enumerate_field`, and the first walk of a field builds its
+        tables.
+
+        - Odd p: (2y + a1*x + a3)^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so x
+          has 1 + chi(right side) values of y, chi the quadratic
+          character: the parity of the log, 0 at 0.
+        - p = 2: with alpha = a1*x + a3, x has one y when alpha = 0
+          (squaring is bijective); otherwise y = alpha*w turns the
+          equation into w^2 + w = c, c = rhs / alpha^2, with two roots
+          when Tr(c) = 0 and none when it is 1.  Tr(c) is the parity of
+          the bits c shares with the field's trace form.
+        """
+        if self._count is None:
+            ctx = self.ctx
+            gf._walk_tables(ctx)
+            total = (_trace_character_sum(self) if ctx.p == 2
+                     else _quadratic_character_sum(self))
+            self._count = ctx.q + 1 + total
+        return self._count
 
     def trace_of_frobenius(self):
         return self.ctx.q + 1 - self.point_count()
@@ -149,6 +178,43 @@ class WeierstrassCurve:
         return WeierstrassCurve(
             super_ctx, *(gf.subfield_embed(a, super_ctx) for a in self.coefficients)
         )
+
+
+def _quadratic_character_sum(E):
+    """Sum over x of chi(4x^3 + b2*x^2 + 2*b4*x + b6): odd p, tabled field."""
+    ctx = E.ctx
+    p, q, log = ctx.p, ctx.q, ctx._log
+    b2, b4, b6, _ = E.b_invariants()
+    c3, c2, c1, c0 = 4 % p, b2.v, (2 * b4).v, b6.v
+    if ctx.n == 1:
+        values = ((((c3 * x + c2) * x + c1) * x + c0) % p for x in range(p))
+    else:
+        mul, add = ctx._mul, ctx._add
+        values = (add(mul(add(mul(add(mul(c3, x), c2), x), c1), x), c0)
+                  for x in range(q))
+    odd = zeros = 0
+    for v in values:
+        if v:
+            odd += log[v] & 1
+        else:
+            zeros += 1
+    return q - zeros - 2 * odd
+
+
+def _trace_character_sum(E):
+    """Sum over x with alpha = a1*x + a3 nonzero of (-1)^Tr(rhs / alpha^2):
+    p = 2, tabled field."""
+    ctx = E.ctx
+    mul, add, inv, form = ctx._mul, ctx._add, ctx._inv, gf._trace_form(ctx)
+    a1, a2, a3, a4, a6 = (a.v for a in E.coefficients)
+    units = odd = 0
+    for x in range(ctx.q):
+        alpha = add(mul(a1, x), a3)
+        if alpha:
+            rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
+            units += 1
+            odd += (mul(rhs, inv(mul(alpha, alpha))) & form).bit_count() & 1
+    return units - 2 * odd
 
 
 def from_short(ctx, a, b):

@@ -30,19 +30,22 @@ Kernels.  Each context carries int-level kernels chosen by its kind
   p <= 7.
 
 Tables.  Following the lookup-table design of the `galois` library
-(https://github.com/mhostetter/galois), the first enumeration of a field,
-an O(q) cost its caller pays anyway (point counts, the oracles of the
-tests), builds exp and log tables over the canonical generator, stored
-as compact arrays, plus Zech logs when p is odd and n > 1.  From then on
-products, inverses and powers in GF(p^n), n > 1, are table lookups, odd-p
-sums go through the Zech logs, and `is_square`, `sqrt`, `nth_roots` and
-the discrete log read the log table.  Fields used only for roots, linear
-algebra and embeddings are never tabled; their discrete logs use
-Pohlig-Hellman.  Importing the module creates no field and builds no
-table.
+(https://github.com/mhostetter/galois), the first walk of a whole field,
+an O(q) cost its caller pays anyway (a point count, `enumerate_field` for
+the oracles of the tests), builds exp and log tables over the canonical
+generator, stored as compact arrays, plus Zech logs when p is odd and
+n > 1.  From then on products, inverses and powers in GF(p^n), n > 1, are
+table lookups, odd-p sums go through the Zech logs, and `is_square`,
+`sqrt`, `nth_roots` and the discrete log read the log table.  Only
+`enumerate_field` also builds the list of every element as a `FieldElem`;
+a point count reads canonical ints and never does.  Fields used only for
+roots, linear algebra and embeddings are never tabled; their discrete
+logs use Pohlig-Hellman.  Importing the module creates no field and
+builds no table.
 
 Limit.  The working limit is the most elements one step may walk; the
-size of a field is not limited.  Three steps walk: `enumerate_field`,
+size of a field is not limited.  Three steps walk: a whole field
+(`enumerate_field` and point counts, both through `_walk_tables`),
 `_embedding_root` (a whole subfield) and `_factorize` (trial divisors).
 """
 
@@ -207,7 +210,8 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
         "_generator", "_unit_factors", "_embed_cache", "_exp", "_log",
-        "_as_echelon", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
+        "_as_echelon", "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv",
+        "_pow",
     )
 
     def __init__(self, p, n, modulus):
@@ -224,6 +228,7 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._as_echelon = None
+        self._trace_form = None
         if n == 1:
             gfkernels.prime_kernels(self)
         elif p == 2:
@@ -405,18 +410,28 @@ class FieldElem:
         return element_to_str(self)
 
 
-def enumerate_field(ctx):
-    """All elements of ctx in canonical order, as a list.
+def _walk_tables(ctx):
+    """Ready ctx for a walk over all q of its elements.
 
-    Every call walks q elements, so q may not pass the working limit.  The
-    first call also builds the field's tables.
+    Every walk is checked against the working limit, on every call; the
+    first one builds the field's tables.
     """
     limit = working_limit()
     if ctx.q > limit:
         raise LimitExceededError(f"enumerating {ctx} walks {ctx.q} elements, "
                                  f"over the limit {limit}")
-    if ctx._elements is None:
+    if ctx._log is None:
         gfkernels.table_kernels(ctx, generator(ctx).v)
+
+
+def enumerate_field(ctx):
+    """All elements of ctx in canonical order, as a list of `FieldElem`s.
+
+    A walk of q elements (`_walk_tables`); the first call also builds the
+    element list, which is kept.
+    """
+    _walk_tables(ctx)
+    if ctx._elements is None:
         ctx._elements = [FieldElem(ctx, k) for k in range(ctx.q)]
     return list(ctx._elements)
 
@@ -584,14 +599,7 @@ class Echelon:
         zero at all pivots is its least.
         """
         ctx = self.ctx
-        x = 0
-        if ctx.p == 2:  # the hot path of point counting: bit tests and XOR
-            for w, imgs, pres in self.rows:
-                if v & w:
-                    v ^= imgs[1]
-                    x ^= pres[1]
-            return v, x
-        p, add, sub = ctx.p, ctx._add, ctx._sub
+        p, add, sub, x = ctx.p, ctx._add, ctx._sub, 0
         for w, imgs, pres in self.rows:
             d = v // w % p
             if d:
@@ -662,14 +670,42 @@ def artin_schreier_roots(c):
     return roots
 
 
+def _trace_form(ctx):
+    """The canonical int whose base-p digits are Tr(x^i), i < n (cached).
+
+    Tr(x^i) is the i-th power sum of the roots of the monic modulus f,
+    which Newton's identities give from f's coefficients alone: Tr(1) = n
+    and, for 0 < k < n,
+    Tr(x^k) = -(k*f[n-k] + sum over 0 < j < k of f[n-j]*Tr(x^(k-j))).
+    The trace is GF(p)-linear, so these n values determine it.
+    """
+    form = ctx._trace_form
+    if form is None:
+        p, n, f = ctx.p, ctx.n, ctx.modulus
+        sums = [n % p]
+        for k in range(1, n):
+            s = k * f[n - k] + sum(f[n - j] * sums[k - j] for j in range(1, k))
+            sums.append(-s % p)
+        form = ctx._trace_form = _from_digits(sums, p)
+    return form
+
+
 def absolute_trace(e):
-    """Trace from GF(p^n) down to GF(p), returned as an int in [0, p)."""
-    acc = e
-    cur = e
-    for _ in range(e.ctx.n - 1):
-        cur = frobenius(cur, 1)
-        acc = acc + cur
-    return acc.v
+    """Trace from GF(p^n) down to GF(p), returned as an int in [0, p).
+
+    The sum of e's digits times those of the trace form, mod p; for p = 2
+    the parity of the bits e shares with it.
+    """
+    ctx = e.ctx
+    p, v, form = ctx.p, e.v, _trace_form(ctx)
+    if p == 2:
+        return (v & form).bit_count() & 1
+    acc = 0
+    while v:
+        v, d = divmod(v, p)
+        form, t = divmod(form, p)
+        acc += d * t
+    return acc % p
 
 
 def subfield_embed(e, super_ctx):

@@ -1,11 +1,13 @@
 """Weierstrass curves: points, invariants, and supersingularity."""
 
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from twistlab import gf
+from twistlab import cli, gf
 from twistlab.curve import WeierstrassCurve, from_short
 
 from oracles import discriminant_oracle, j_invariant_oracle
@@ -269,3 +271,92 @@ def test_twisted_pair_counts_sum_to_2q_plus_2(p, n, coeffs):
     assert N + N_twin == 2 * K.q + 2
     assert (K.q + 1 - N) ** 2 <= 4 * K.q
     assert all(E.contains(P) for P in E.enumerate_points())
+
+
+# every prime-power field with q <= 2^12 and n >= 2, every prime <= 101,
+# and two larger primes
+COUNT_FIELDS = (
+    [(p, n) for p in range(2, 65) if gf.is_prime(p)
+     for n in range(2, 13) if p ** n <= 1 << 12]
+    + [(p, 1) for p in range(2, 102) if gf.is_prime(p)]
+    + [(1021, 1), (4093, 1)]
+)
+
+
+def _singular_coefficients(K, rng):
+    """A long equation singular at a random point (x0, y0): a1, a2, a3
+    random, a1 nonzero; a4 and a6 solve F = dF/dx = 0 there, with dF/dy = 0
+    fixing y0 (odd p) or x0 (p = 2)."""
+    elem = lambda: K.from_canon(rng.randrange(K.q))
+    a1 = K.from_canon(rng.randrange(1, K.q))
+    a2, a3 = elem(), elem()
+    if K.p == 2:
+        x0, y0 = a3 / a1, elem()
+    else:
+        x0 = elem()
+        y0 = -(a1 * x0 + a3) / 2
+    a4 = a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0
+    a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0 ** 3 - a2 * x0 * x0 - a4 * x0
+    return a1, a2, a3, a4, a6
+
+
+@pytest.mark.parametrize("p,n", COUNT_FIELDS, ids=lambda v: str(v))
+def test_count_equals_the_exhaustive_listing(p, n, monkeypatch):
+    # the character sum against the point list, on three equations: a1 and
+    # a3 nonzero; a1 = 0 (supersingular when p = 2); and a singular one.
+    # Both walks table the field, so it is a private copy: other tests
+    # need some of these fields untabled.
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    K = gf.field_create(p, n)
+    rng = random.Random(p ** n)
+    unit = lambda: K.from_canon(rng.randrange(1, K.q))
+    elem = lambda: K.from_canon(rng.randrange(K.q))
+    equations = [
+        (unit(), elem(), unit(), elem(), elem()),
+        (K.zero, elem(), unit(), elem(), elem()),
+        _singular_coefficients(K, rng),
+    ]
+    assert not WeierstrassCurve(K, *equations[2]).is_smooth()
+    for coeffs in equations:
+        # a fresh curve for each side, so neither reads a cached result
+        listed = len(WeierstrassCurve(K, *coeffs).enumerate_points())
+        assert WeierstrassCurve(K, *coeffs).point_count() == listed, coeffs
+
+
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (8191, 1)], ids=lambda v: str(v))
+def test_count_walks_once_under_the_limit_and_builds_no_element_list(p, n, monkeypatch):
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})  # a field no other test has walked
+    K = gf.field_create(p, n)
+    coeffs = (1, 0, 1, 2, 3)
+    token = gf.LIMIT_OVERRIDE.set(K.q - 1)
+    try:
+        with pytest.raises(gf.LimitExceededError):
+            WeierstrassCurve(K, *coeffs).point_count()
+    finally:
+        gf.LIMIT_OVERRIDE.reset(token)
+    walks = []
+    walk = gf._walk_tables
+    monkeypatch.setattr(gf, "_walk_tables", lambda ctx: walks.append(ctx) or walk(ctx))
+    E = WeierstrassCurve(K, *coeffs)
+    N = E.point_count()
+    assert walks == [K] and K._log is not None and K._elements is None
+    # the count is cached: asking again, also through the trace of
+    # Frobenius and supersingularity, walks nothing, even over the limit
+    token = gf.LIMIT_OVERRIDE.set(2)
+    try:
+        assert E.point_count() == N
+        assert E.trace_of_frobenius() == K.q + 1 - N
+        assert E.is_supersingular() == (N % p == 1)
+    finally:
+        gf.LIMIT_OVERRIDE.reset(token)
+    assert walks == [K] and K._elements is None
+
+
+def test_census_walks_each_class_once(monkeypatch, capsys):
+    # census reports each class's point count and supersingularity: one walk
+    walks = []
+    walk = gf._walk_tables
+    monkeypatch.setattr(gf, "_walk_tables", lambda ctx: walks.append(ctx) or walk(ctx))
+    assert cli.main(["census", "--p", "2", "--n", "3", "--json"]) == 0
+    count = len(json.loads(capsys.readouterr().out)["classes"])
+    assert count > 1 and len(walks) == count

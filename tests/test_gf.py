@@ -396,6 +396,30 @@ def test_element_str_round_trip():
         gf.element_from_str("3^2:0,1", gf.field_create(3))
 
 
+@pytest.mark.parametrize("p,n", [
+    (2, 1), (2, 2), (2, 5), (2, 8), (2, 20), (2, 40), (3, 1), (3, 2), (3, 7),
+    (3, 12), (5, 9), (7, 6), (1019, 2), (23, 3),
+], ids=lambda v: str(v))
+def test_trace_form_is_the_sum_of_conjugates(p, n):
+    # Newton's identities against n Frobenius powers, on the basis and on
+    # random elements, also of fields that are never tabled
+    ctx = gf.field_create(p, n)
+
+    def conjugate_sum(e):
+        acc = ctx.zero
+        for k in range(n):
+            acc = acc + gf.frobenius(e, k)
+        assert acc.v < p  # the sum lands in GF(p)
+        return acc.v
+
+    form = gf._digits(gf._trace_form(ctx), p, n)
+    assert form == tuple(conjugate_sum(ctx.from_canon(p ** i)) for i in range(n))
+    rng = random.Random(p ** n)
+    for _ in range(20):
+        e = ctx.from_canon(rng.randrange(ctx.q))
+        assert gf.absolute_trace(e) == conjugate_sum(e)
+
+
 def test_limits(monkeypatch):
     # the limit bounds walks, not field sizes
     monkeypatch.delenv(gf.LIMIT_ENV_VAR, raising=False)
