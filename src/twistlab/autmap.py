@@ -24,8 +24,9 @@ satisfies it.  Each map is either checked or derived:
   the same way.
 
 Automorphism groups are computed over the minimal extension carrying all
-of them, with a Cayley table by element index.  Structure analysis reads
-that table through two walks only:
+of them, with a Cayley table by element index, built from k <= log2(n)
+generators by k*n compositions and lookups (see `automorphism_group`).
+Structure analysis reads that table through two walks only:
 
 - the closure `_subgroup_closure(table, seed)`, the subgroup a seed
   generates: element orders, cyclic subgroups and the lattice;
@@ -388,18 +389,21 @@ def _max_automorphism_order(p, j):
 
 
 class AutGroup:
-    """The automorphism group of a curve over its minimal field of definition."""
+    """The automorphism group of a curve over its minimal field of definition.
+
+    `index` maps each element's `param_key` to its position in `elements`.
+    """
 
     __slots__ = ("curve", "field", "elements", "cayley", "inverses",
                  "_index", "_subgroups", "_structure")
 
-    def __init__(self, curve, field, elements, cayley):
+    def __init__(self, curve, field, elements, cayley, index):
         self.curve = curve
         self.field = field
         self.elements = tuple(elements)
         self.cayley = cayley
         self.inverses = tuple(row.index(0) for row in cayley)
-        self._index = {f.param_key(): i for i, f in enumerate(self.elements)}
+        self._index = index
         self._subgroups = None
         self._structure = None
         if not self.elements[0].is_identity():
@@ -431,6 +435,18 @@ def automorphism_group(E):
     Realized over the minimal extension of E's field that carries every
     automorphism, found by searching extension degrees until the count
     reaches the maximum allowed by (p, j).
+
+    The Cayley table is built from generators, chosen greedily in index
+    order: each is the first element outside the closure of those before
+    it, so each at least doubles that closure and k <= log2(n) of them
+    generate the group.  For each generator g the n products x o g are
+    composed and looked up, k*n compositions in all; a product outside
+    the set is a fault.  A walk from the identity under these right
+    multiplications writes every element e as parent(e) o g, and each
+    row follows by lookups only: a o e = (a o parent(e)) o g.  Closure
+    under the generators proves closure under composition, because
+    composition of maps is associative and every element is a word in
+    the generators.
     """
     if not E.is_smooth():
         raise ValueError("singular equations have no automorphism group here")
@@ -447,17 +463,34 @@ def automorphism_group(E):
                      f"automorphism search found {len(elements)} of {target} elements")
     params = [f.params for f in elements]
     index = {f.param_key(): i for i, f in enumerate(elements)}
-    cayley = []
-    for a in params:
-        row = []
-        for b in params:
-            k = index.get(tuple(x.canon for x in _compose_params(a, b)))
+    n = len(params)
+    # walk lists the elements in the order reached from the identity; each
+    # e after the first is parent[e] o g, and step[e] is g's products x o g
+    walk, parent, step, products = [0], {0: None}, {}, []
+    while len(walk) < n:
+        g = params[next(i for i in range(n) if i not in parent)]
+        times_g = []
+        for a in params:
+            k = index.get(tuple(x.canon for x in _compose_params(a, g)))
             if k is None:
                 raise _fault(E, field, "automorphism group",
                              "automorphism set is not closed under composition")
-            row.append(k)
+            times_g.append(k)
+        products.append(times_g)
+        for a in walk:
+            for right in products:
+                e = right[a]
+                if e not in parent:
+                    parent[e], step[e] = a, right
+                    walk.append(e)
+    cayley = []
+    for a in range(n):
+        row = [None] * n
+        row[0] = a
+        for e in walk[1:]:
+            row[e] = step[e][row[parent[e]]]
         cayley.append(tuple(row))
-    return AutGroup(E, field, elements, tuple(cayley))
+    return AutGroup(E, field, elements, tuple(cayley), index)
 
 
 class SubgroupInfo:

@@ -3,7 +3,9 @@
 import functools
 
 from twistlab import gf
-from twistlab.autmap import CurveIsomorphism, find_isomorphisms, transform_coefficients
+from twistlab.autmap import (
+    CurveIsomorphism, compose, find_isomorphisms, transform_coefficients,
+)
 from twistlab.curve import WeierstrassCurve
 
 
@@ -342,6 +344,18 @@ WALK_CURVES = (
     + [(p, 1, c) for p in (5, 7, 13) for c in ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0))]
     + [(2, 3, (1, 0, 0, 0, 1)), (3, 3, (0, 1, 0, 0, 1))]
 )
+
+
+def brute_force_cayley(elements):
+    """Cayley table of a group of automorphisms by composing every pair.
+
+    Entry [a][b] is the index of elements[a] o elements[b]; KeyError when
+    a product falls outside the set.
+    """
+    index = {f.param_key(): i for i, f in enumerate(elements)}
+    return tuple(
+        tuple(index[compose(a, b).param_key()] for b in elements) for a in elements
+    )
 
 
 def power_order(G, i):

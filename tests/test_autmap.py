@@ -1,5 +1,9 @@
 """Isomorphisms and automorphism groups across characteristics."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -18,6 +22,8 @@ F8 = gf.field_create(2, 3)
 F9 = gf.field_create(3, 2)
 F16 = gf.field_create(2, 4)
 F27 = gf.field_create(3, 3)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 E3 = WeierstrassCurve(F3, 0, 0, 0, -1, 0)   # y^2 = x^3 - x
 E2 = WeierstrassCurve(F2, 0, 0, 1, 0, 0)    # y^2 + y = x^3
@@ -300,6 +306,64 @@ def test_aut_group_lookup(G24):
     assert G24.element_order(0) == 1
 
 
+# every shape of Aut(E), as (p, n, coefficients, order, degree of the
+# group's field over GF(p^n)): C2; C4 and C6 over the base and over GF(121);
+# the order-12 group; SL(2,3)
+GROUP_SHAPES = [
+    (5, 1, (0, 0, 0, 1, 1), 2, 1),
+    (13, 1, (0, 0, 0, 1, 0), 4, 1),
+    (11, 1, (0, 0, 0, 1, 0), 4, 2),
+    (7, 1, (0, 0, 0, 0, 1), 6, 1),
+    (11, 1, (0, 0, 0, 0, 1), 6, 2),
+    (3, 1, (0, 0, 0, 2, 0), 12, 2),
+    (3, 5, (0, 0, 0, 2, 0), 12, 2),
+    (2, 1, (0, 0, 1, 0, 0), 24, 2),
+    (2, 4, (0, 0, 1, 0, 0), 24, 1),
+    (2, 5, (0, 0, 1, 0, 0), 24, 2),
+]
+SHAPE_IDS = [f"{p}^{n}-{c}" for p, n, c, _, _ in GROUP_SHAPES]
+
+
+@pytest.mark.parametrize("p,n,coeffs,order,degree", GROUP_SHAPES, ids=SHAPE_IDS)
+def test_cayley_table_matches_brute_force(p, n, coeffs, order, degree):
+    G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+    assert (G.order, G.field.n) == (order, n * degree)
+    table = oracles.brute_force_cayley(G.elements)
+    assert G.cayley == table
+    assert G.inverses == tuple(row.index(0) for row in table)
+
+
+@pytest.mark.parametrize("p,n,coeffs,order,degree", GROUP_SHAPES, ids=SHAPE_IDS)
+def test_cayley_table_costs_log_n_compositions_per_element(
+        monkeypatch, p, n, coeffs, order, degree):
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    G = autmap.automorphism_group(E)
+    # the search hands back the same elements without composing anything,
+    # so every composition counted below is the table build's
+    monkeypatch.setattr(autmap, "find_isomorphisms",
+                        lambda E1, E2, field: list(G.elements) if field == G.field else [])
+    calls = []
+    compose_params = autmap._compose_params
+    monkeypatch.setattr(autmap, "_compose_params",
+                        lambda f, g: calls.append(1) or compose_params(f, g))
+    assert autmap.automorphism_group(E).cayley == G.cayley
+    # (floor(log2 n) + 1) * n, against n^2 for every pair
+    assert len(calls) <= order.bit_length() * order
+
+
+def test_cayley_table_faults_on_a_set_not_closed(monkeypatch, G24):
+    # a full-size set with one element that is no automorphism: its t moved
+    bad = G24.elements[-1]
+    moved = autmap.CurveIsomorphism._derived(
+        bad.field, bad.source, bad.target, bad.u, bad.r, bad.s, bad.t + 1)
+    elements = list(G24.elements[:-1]) + [moved]
+    monkeypatch.setattr(autmap, "find_isomorphisms",
+                        lambda E1, E2, field: elements if field == G24.field else [])
+    with pytest.raises(RuntimeError, match=r"^automorphism group of 0,0,1,0,0 over "
+                       r"GF\(2\^2\): automorphism set is not closed under composition$"):
+        autmap.automorphism_group(E2)
+
+
 def test_minimal_degree_limit():
     with pytest.raises(ValueError):
         autmap.minimal_isomorphism_degree(E3, E3, 0)
@@ -445,6 +509,56 @@ def test_derived_maps_satisfy_the_identity_on_random_models(p, n, data):
     for a in autmap.find_isomorphisms(E0, E0, K):
         assert_transforms(a)
         assert_transforms(autmap.galois_apply(a, k))
+
+
+def _assert_round_trips(E, T, U, field):
+    """Every f: E -> T over `field` is undone by invert(f), and compose(g, f)
+    carries E onto U for every g: T -> U there, on the coefficients."""
+    Ec, Uc = (C.base_change(field).coefficients for C in (E, U))
+    fs = autmap.find_isomorphisms(E, T, field)
+    gs = autmap.find_isomorphisms(T, U, field)
+    assert fs and gs
+    for f in fs:
+        Tc = f.target.coefficients
+        assert autmap.transform_coefficients(Tc, *autmap.invert(f).params) == Ec
+        for g in gs:
+            assert autmap.transform_coefficients(Ec, *autmap.compose(g, f).params) == Uc
+
+
+TWIST_GOLDENS = sorted(path.stem for path in GOLDEN.glob("twists_*.json"))
+
+
+@pytest.mark.parametrize("name", TWIST_GOLDENS)
+def test_transform_round_trips_on_golden_twists(name):
+    # E the golden's source; T and U consecutive twists, over the field
+    # where both become isomorphic to E
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    p, n = (int(x) for x in want["base"].split("^"))
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *(gf.element_from_str(a, K) for a in want["source"]))
+    entries = want["twists"]
+    for i, entry in enumerate(entries):
+        following = entries[(i + 1) % len(entries)]
+        T, U = (WeierstrassCurve(K, *(gf.element_from_str(a, K) for a in e["curve"]))
+                for e in (entry, following))
+        degree = math.lcm(entry["split_degree"], following["split_degree"])
+        _assert_round_trips(E, T, U, gf.field_create(p, n * degree))
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (7, 4), (1021, 1)],
+                         ids=["2^8", "3^5", "7^4", "1021"])
+@given(data=st.data())
+def test_transform_round_trips_on_random_models(p, n, data):
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *(_random_element(data, K) for _ in range(5)))
+    assume(E.is_smooth())
+    curves = [E]
+    for _ in range(2):
+        params = (_random_element(data, K, nonzero=True),
+                  *(_random_element(data, K) for _ in range(3)))
+        curves.append(WeierstrassCurve(
+            K, *autmap.transform_coefficients(curves[-1].coefficients, *params)))
+    _assert_round_trips(*curves, K)
 
 
 @pytest.mark.parametrize("p,n,coeffs", oracles.WALK_CURVES,

@@ -1,8 +1,9 @@
 """Field kernels against the schoolbook oracle, beyond the q <= 81 axiom suite.
 
 Each field runs either with its exp/log tables (built by enumerating it)
-or without them (never enumerated here or anywhere else in the suite), so
-both kernel families and both root paths are checked.
+or without them, so both kernel families and both root paths are checked.
+An untabled field comes from a cache private to this module, so a walk of
+the same field by another test cannot table it.
 """
 
 import math
@@ -25,10 +26,17 @@ FIELDS = [
 IDS = [f"{p}^{n}{'' if tabled else '-free'}" for p, n, tabled in FIELDS]
 
 
+_UNTABLED = {}
+
+
 def _field(p, n, tabled):
-    ctx = gf.field_create(p, n)
     if tabled:
+        ctx = gf.field_create(p, n)
         gf.enumerate_field(ctx)
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_CTX_CACHE", _UNTABLED)
+            ctx = gf.field_create(p, n)
     assert (ctx._log is not None) == tabled
     return ctx
 

@@ -87,7 +87,7 @@ def test_corrupted_cayley_table_is_detected(G12):
     table = [list(row) for row in G12.cayley]
     table[moved][0] = 0
     broken = autmap.AutGroup(G12.curve, G12.field, G12.elements,
-                             tuple(tuple(row) for row in table))
+                             tuple(tuple(row) for row in table), G12._index)
     with pytest.raises(RuntimeError):
         twistcoh.frobenius_action(broken, F3)
 
