@@ -11,17 +11,17 @@ satisfies it.  Each map is either checked or derived:
 
 - checked: built from parameters that are new, through the public
   constructor, which verifies the identity exactly.  These are the maps a
-  caller builds, the cores that `_reduced_isomorphisms` solves for,
-  `identity_map`, `minus_one_map` and `galois_apply` (whose identity holds
-  only when both curves are defined over `base`);
+  caller builds, `identity_map`, `minus_one_map` and `galois_apply` (whose
+  identity holds only when both curves are defined over `base`);
 - derived: built by `CurveIsomorphism._derived`, which does not re-verify,
-  from maps whose identity is already known.  The (u, r, s, t) maps form
-  a group under `_compose_params`, so `compose` and `invert` of maps that
-  satisfy the identity satisfy it too; `embed_isomorphism` applies a field
-  embedding, a ring homomorphism, to both sides of it; and
+  from parameters whose identity is already known.  The (u, r, s, t) maps
+  form a group under `_compose_params`, so `compose` and `invert` of maps
+  that satisfy the identity satisfy it too; `embed_isomorphism` applies a
+  field embedding, a ring homomorphism, to both sides of it; and
   `reduction_isomorphism` defines its target as the transform's image.
-  `find_isomorphisms` composes its checked cores with two reduction maps
-  the same way.
+  The cores of `_reduced_isomorphisms` are plain (u, r, s, t) tuples
+  between two short models, each solving the identity's equations one by
+  one, and `find_isomorphisms` composes them with two reduction maps.
 
 Automorphism groups are computed over the minimal extension carrying all
 of them, with a Cayley table by element index, built from k <= log2(n)
@@ -73,7 +73,7 @@ class CurveIsomorphism:
     base-changed into `field`, and the parameters must transform the
     source equation exactly into the target equation, or ValueError is
     raised.  `_derived` is the unchecked path for maps whose identity
-    follows from maps already checked (see the module docstring).
+    is already known (see the module docstring).
     """
 
     __slots__ = ("field", "source", "target", "u", "r", "s", "t")
@@ -257,52 +257,65 @@ def reduction_isomorphism(E):
 
 
 def _reduced_isomorphisms(R1, R2):
-    """Every isomorphism between two short models over their common field.
+    """The (u, r, s, t) of every isomorphism between two short models over
+    their common field, as tuples of field elements.
 
-    Solves the triangular coefficient system appropriate to the
-    characteristic and the j-class: first the unit u from a root-of-unity
-    style equation, then the additive parameters from linearized
-    equations.  Each solution is a checked map; the models must be smooth
-    with one j-invariant.  `find_isomorphisms`, the only caller, takes
-    every solution.
+    The models must be smooth with one j-invariant.  Each branch writes
+    out b1..b6 of `transform_coefficients` on its short forms and solves
+    them in order: first the unit u from a root-of-unity style equation,
+    then the additive parameters from linearized equations.  A tuple is
+    yielded only once every b equals the target's coefficient, either
+    because each equation was solved or because the one left over was
+    tested, so the identity holds for each without a re-check.
+    `find_isomorphisms`, the only caller, takes every solution.
     """
     ctx = R1.ctx
     p = ctx.p
     zero = ctx.zero
     if p == 2:
         if R1.a1.is_zero():
-            # forms y^2 + a3*y = x^3 + a4*x + a6; constraints:
-            #   u^3 = a3T/a3S,  s^4 + a3T*s = a4T + u^4*a4S,  r = s^2,
-            #   t^2 + a3T*t = a6T + u^6*a6S + r*a4T + r^3
+            # j = 0, forms y^2 + a3*y = x^3 + a4*x + a6; b1 = 0 always and
+            #   b2 = s^2 + r: r = s^2 makes it 0,
+            #   b3 = u^3*a3S: u is a cube root of a3T/a3S,
+            #   b4 = u^4*a4S + s^4 + a3T*s: s from the k = 2 linearized solve,
+            #   b6 = u^6*a6S + r*a4T + r^3 + t^2 + a3T*t: t from the k = 1 solve
             for u in gf.nth_roots(R2.a3 / R1.a3, 3):
                 for s in gf.linearized_roots(R2.a3, R2.a4 + u ** 4 * R1.a4, k=2):
                     r = s * s
                     rhs = R2.a6 + u ** 6 * R1.a6 + r * R2.a4 + r ** 3
                     for t in gf.linearized_roots(R2.a3, rhs, k=1):
-                        yield CurveIsomorphism(ctx, R1, R2, u, r, s, t)
+                        yield (u, r, s, t)
         else:
-            # forms y^2 + x*y = x^3 + a2*x^2 + a6; u = 1, r = t = 0 forced,
-            # a6 must agree, s from s^2 + s = a2S + a2T
+            # j != 0, forms y^2 + x*y = x^3 + a2*x^2 + a6; b1 = u forces
+            # u = 1, b3 = r forces r = 0, then b4 = t forces t = 0;
+            #   b2 = a2S + s^2 + s: s from the k = 1 solve with a = 1,
+            #   b6 = a6S: tested
             if R1.a6 == R2.a6:
-                for s in gf.artin_schreier_roots(R1.a2 + R2.a2):
-                    yield CurveIsomorphism(ctx, R1, R2, ctx.one, zero, s, zero)
+                for s in gf.linearized_roots(ctx.one, R1.a2 + R2.a2):
+                    yield (ctx.one, zero, s, zero)
     elif p == 3:
+        # b1 = s forces s = 0, then b3 = t forces t = 0
         if R1.a2.is_zero():
-            # j = 0 forms y^2 = x^3 + a4*x + a6 with a4 != 0:
-            #   u^4 = a4T/a4S, then r^3 + a4T*r = u^6*a6S - a6T
+            # j = 0, forms y^2 = x^3 + a4*x + a6 with a4 != 0; b2 = 0 always,
+            #   b4 = u^4*a4S: u is a fourth root of a4T/a4S,
+            #   b6 = u^6*a6S - r^3 - a4T*r: r from the k = 1 solve
             for u in gf.nth_roots(R2.a4 / R1.a4, 4):
                 rhs = u ** 6 * R1.a6 - R2.a6
                 for r in gf.linearized_roots(R2.a4, rhs, k=1):
-                    yield CurveIsomorphism(ctx, R1, R2, u, r, zero, zero)
+                    yield (u, r, zero, zero)
         else:
-            # j != 0 forms y^2 = x^3 + a2*x^2 + a4*x + a6 with a2 != 0:
-            #   u^2 = a2T/a2S, r determined, a6 relation checked
+            # j != 0, forms y^2 = x^3 + a2*x^2 + a4*x + a6 with a2 != 0;
+            #   b2 = u^2*a2S: u is a square root of a2T/a2S,
+            #   b4 = u^4*a4S + a2T*r: r by one division,
+            #   b6 = u^6*a6S - a4T*r - a2T*r^2 - r^3: tested
             for u in gf.nth_roots(R2.a2 / R1.a2, 2):
                 r = (R2.a4 - u ** 4 * R1.a4) / R2.a2
                 if R2.a6 == u ** 6 * R1.a6 - r * R2.a4 - r * r * R2.a2 - r ** 3:
-                    yield CurveIsomorphism(ctx, R1, R2, u, r, zero, zero)
+                    yield (u, r, zero, zero)
     else:
-        # forms y^2 = x^3 + A*x + B; r = s = t = 0 forced
+        # forms y^2 = x^3 + A*x + B; b1 = -2s forces s = 0, then b2 = -3r
+        # and b3 = -2t force r = t = 0; u is a root picked by the zero
+        # pattern of A and B, and b4 = u^4*A_s, b6 = u^6*B_s are tested
         A_s, B_s = R1.a4, R1.a6
         A_t, B_t = R2.a4, R2.a6
         if A_s.is_zero():
@@ -313,7 +326,7 @@ def _reduced_isomorphisms(R1, R2):
             candidates = gf.nth_roots((B_t * A_s) / (B_s * A_t), 2)
         for u in candidates:
             if u ** 4 * A_s == A_t and u ** 6 * B_s == B_t:
-                yield CurveIsomorphism(ctx, R1, R2, u, zero, zero, zero)
+                yield (u, zero, zero, zero)
 
 
 def find_isomorphisms(E1, E2, field):
@@ -321,10 +334,10 @@ def find_isomorphisms(E1, E2, field):
 
     Empty list means the curves are not isomorphic over `field`.  Each
     result is red2^-1 o core o red1, with red1 and red2 the reduction maps
-    of the two curves and core a checked solution of
-    `_reduced_isomorphisms`; its parameters are composed directly and the
-    result is a derived map.  The order is ascending `param_key`, so the
-    first entry is the same on every run.
+    of the two curves and core a solution of `_reduced_isomorphisms`; its
+    parameters are composed directly and the result is a derived map.
+    The order is ascending `param_key`, so the first entry is the same on
+    every run.
     """
     if E1.ctx != E2.ctx:
         raise ValueError("curves must share a base field")
@@ -341,7 +354,7 @@ def find_isomorphisms(E1, E2, field):
     isos = [
         CurveIsomorphism._derived(
             field, S, T,
-            *_compose_params(red2_inv.params, _compose_params(core.params, red1.params)),
+            *_compose_params(red2_inv.params, _compose_params(core, red1.params)),
         )
         for core in _reduced_isomorphisms(red1.target, red2_inv.source)
     ]

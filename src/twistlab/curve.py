@@ -100,8 +100,8 @@ class WeierstrassCurve:
         The exhaustive listing: it builds every field element and every
         point, so counting uses `point_count` instead.  Each x costs one
         root step: a square root (None when there is none) for odd p, and
-        for p = 2 one solve of w^2 + w = c against the field's cached
-        Artin-Schreier basis.
+        for p = 2 one solve of w^2 + w = c, reduced against the echelon of
+        w |-> w^2 + w built once before the walk.
         """
         if self._points is not None:
             return list(self._points)
@@ -109,6 +109,7 @@ class WeierstrassCurve:
         a1, a2, a3, a4, a6 = self.coefficients
         points = [None]
         if ctx.p == 2:
+            ech = gf.linearized_echelon(ctx.one)
             for x in gf.enumerate_field(ctx):
                 rhs = ((x + a2) * x + a4) * x + a6
                 alpha = a1 * x + a3
@@ -117,9 +118,10 @@ class WeierstrassCurve:
                     points.append((x, gf.sqrt(rhs)))
                 else:
                     # substitute y = alpha*w: w^2 + w = rhs / alpha^2
-                    c = rhs / (alpha * alpha)
-                    for w in gf.artin_schreier_roots(c):
-                        points.append((x, alpha * w))
+                    residue, w = ech.reduce((rhs / (alpha * alpha)).v)
+                    if not residue:
+                        for v in ech.kernel_coset(w):
+                            points.append((x, alpha * ctx.from_canon(v)))
         else:
             inv2 = ctx.scalar(2).inv()
             for x in gf.enumerate_field(ctx):

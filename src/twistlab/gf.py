@@ -35,8 +35,9 @@ an O(q) cost its caller pays anyway (a point count, `enumerate_field` for
 the oracles of the tests), builds exp and log tables over the canonical
 generator, stored as compact arrays, plus Zech logs when p is odd and
 n > 1.  From then on products, inverses and powers in GF(p^n), n > 1, are
-table lookups, odd-p sums go through the Zech logs, and `is_square`,
-`sqrt`, `nth_roots` and the discrete log read the log table.  Only
+table lookups, odd-p sums go through the Zech logs, and the discrete log
+reads the log table; `is_square` (one power) and `sqrt` and `nth_roots`
+(one discrete log) reach the tables only through these.  Only
 `enumerate_field` also builds the list of every element as a `FieldElem`;
 a point count reads canonical ints and never does.  Fields used only for
 roots, linear algebra and embeddings are never tabled; their discrete
@@ -210,8 +211,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
         "_generator", "_unit_factors", "_embed_cache", "_exp", "_log",
-        "_as_echelon", "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv",
-        "_pow",
+        "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
     )
 
     def __init__(self, p, n, modulus):
@@ -227,7 +227,6 @@ class FieldCtx:
         self._embed_cache = {}
         self._exp = None
         self._log = None
-        self._as_echelon = None
         self._trace_form = None
         if n == 1:
             gfkernels.prime_kernels(self)
@@ -522,36 +521,19 @@ def nth_roots(e, m):
 
 
 def is_square(e):
-    """Whether e is a square: a log-table parity test on tabled fields,
-    Euler's criterion elsewhere; everything is a square when p == 2."""
+    """Whether e is a square, by Euler's criterion e^((q-1)/2) == 1;
+    everything is a square when p == 2."""
     ctx = e.ctx
     if ctx.p == 2 or e.is_zero():
         return True
-    if ctx._log is not None:
-        return ctx._log[e.v] % 2 == 0
     return ctx._pow(e.v, (ctx.q - 1) // 2) == 1
 
 
 def sqrt(e):
-    """A square root of e, or None.
-
-    For odd p the canonically smaller of the two roots is returned; for
-    p == 2 squaring is a bijection and the root is unique.
-    """
-    ctx = e.ctx
-    if ctx.p == 2:
-        return e ** (2 ** (ctx.n - 1))
-    if e.is_zero():
-        return ctx.zero
-    log = ctx._log
-    if log is None:
-        roots = nth_roots(e, 2)
-        return roots[0] if roots else None
-    k = log[e.v]
-    if k % 2:
-        return None
-    r = ctx._exp[k // 2]
-    return FieldElem(ctx, min(r, ctx._neg(r)))
+    """The least square root of e, or None; for p == 2 squaring is a
+    bijection and the root is unique."""
+    roots = nth_roots(e, 2)
+    return roots[0] if roots else None
 
 
 # ---------------------------------------------------------------------------
@@ -645,29 +627,6 @@ def linearized_roots(a, rhs, k=1):
     ech = linearized_echelon(a, k)
     residue, x = ech.reduce(rhs.v)
     return [] if residue else [FieldElem(ctx, y) for y in ech.kernel_coset(x)]
-
-
-def artin_schreier_roots(c):
-    """All w with w^p - w == c, for p in {2, 3}, ascending.
-
-    Nonempty exactly when the absolute trace of c vanishes; then there are
-    p roots, differing by GF(p), that is in the last digit.  The echelon
-    of w |-> w^p - w depends only on the field and is built once.
-    """
-    ctx = c.ctx
-    p, ech = ctx.p, ctx._as_echelon
-    if ech is None:
-        if p not in (2, 3):
-            raise ValueError(f"Artin-Schreier solve needs characteristic 2 or 3, got {p}")
-        ech = ctx._as_echelon = linearized_echelon(ctx.scalar(-1))
-    residue, w = ech.reduce(c.v)
-    if residue:
-        return []
-    w -= w % p
-    roots = [FieldElem(ctx, w), FieldElem(ctx, w + 1)]
-    if p == 3:
-        roots.append(FieldElem(ctx, w + 2))
-    return roots
 
 
 def _trace_form(ctx):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -256,10 +257,66 @@ def test_exhaustive_agrees_with_triangular():
         (from_short(F5, 1, 0), from_short(F5, 4, 0), F5),
         (WeierstrassCurve(F3, 0, 1, 0, 0, -1), WeierstrassCurve(F3, 0, 1, 0, 1, 1), F9),
     ]
+    # on every field with q <= 16, and on its square when that is too: the
+    # least model of j = 0, of j = 1728 when p >= 5 and of one generic j,
+    # against a random model of each of its base classes
+    rng = random.Random(0)
+    for p, n in FIELDS_TO_81:
+        K = gf.field_create(p, n)
+        if K.q > 16:
+            continue
+        fields = [K] + ([gf.field_create(p, 2 * n)] if K.q ** 2 <= 16 else [])
+        for j in _j_values(K):
+            classes = twists._short_classes(K, j)
+            for C in classes:
+                model = _random_model(C, rng)
+                pairs += [(classes[0], model, field) for field in fields]
     for E1, E2_, field in pairs:
         tri = [f.param_key() for f in autmap.find_isomorphisms(E1, E2_, field)]
         exh = [f.param_key() for f in exhaustive_isomorphisms(E1, E2_, field)]
         assert tri == exh, (E1, E2_, field)
+
+
+def _j_values(K):
+    """j = 0, j = 1728 when p >= 5, and the least other j of K."""
+    special = [K.zero] + ([K.scalar(1728)] if K.p >= 5 else [])
+    return special + [next(j for j in gf.enumerate_field(K) if j not in special)]
+
+
+def _random_model(C, rng):
+    """C moved by a random (u, r, s, t) over its own field."""
+    K = C.ctx
+    u = K.from_canon(rng.randrange(1, K.q))
+    r, s, t = (K.from_canon(rng.randrange(K.q)) for _ in range(3))
+    return WeierstrassCurve(K, *autmap.transform_coefficients(C.coefficients, u, r, s, t))
+
+
+def test_find_isomorphisms_solves_without_rechecking(monkeypatch):
+    # one pair per branch of the solve: each j-class of _model_and_twists in
+    # characteristics 2, 3 and 7, against a model of itself.  The cores are
+    # solved, so only the two reduction targets are transformed and no map
+    # goes through the checked constructor.
+    rng = random.Random(1)
+    pairs = [(E, _random_model(E, rng))
+             for k in (F4, F9, F7) for E, _ in _model_and_twists(k)]
+    assert len(pairs) == 7
+    calls = {"transform": 0, "checked": 0}
+    transform, init = autmap.transform_coefficients, autmap.CurveIsomorphism.__init__
+
+    def counted_transform(*args):
+        calls["transform"] += 1
+        return transform(*args)
+
+    def counted_init(self, *args):
+        calls["checked"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(autmap, "transform_coefficients", counted_transform)
+    monkeypatch.setattr(autmap.CurveIsomorphism, "__init__", counted_init)
+    for E, L in pairs:
+        calls.update(transform=0, checked=0)
+        assert autmap.find_isomorphisms(E, L, E.ctx), (E, L)
+        assert calls == {"transform": 2, "checked": 0}, (E, L)
 
 
 def test_reduction_shapes():
@@ -481,27 +538,34 @@ def _random_element(data, K, nonzero=False):
     return K.from_canon(data.draw(st.integers(1 if nonzero else 0, K.q - 1)))
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (1021, 1)], ids=["2^8", "3^5", "1021"])
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (7, 4), (1021, 1)],
+                         ids=["2^8", "3^5", "7^4", "1021"])
 @given(data=st.data())
 def test_derived_maps_satisfy_the_identity_on_random_models(p, n, data):
     K = gf.field_create(p, n)
     E = WeierstrassCurve(K, *(_random_element(data, K) for _ in range(5)))
     assume(E.is_smooth())
-    params = (_random_element(data, K, nonzero=True),
-              *(_random_element(data, K) for _ in range(3)))
-    L = WeierstrassCurve(K, *autmap.transform_coefficients(E.coefficients, *params))
-    f = autmap.CurveIsomorphism(K, E, L, *params)
-    isos = autmap.find_isomorphisms(E, L, K)
-    assert f in isos
-    for h in isos:
-        assert_transforms(h)
-    for C in (E, L):
-        red = autmap.reduction_isomorphism(C)
-        assert_transforms(red)
-        # L -> E -> R_E and E -> L -> R_L
-        assert_transforms(autmap.compose(red, autmap.invert(f) if C is E else f))
-    automorphisms = autmap.find_isomorphisms(E, E, K)
-    _assert_derived_maps(f, K, automorphisms, gf.field_create(p, 2 * n))
+    # random curves almost never have j = 0 or 1728, so every draw also
+    # moves the j = 0 curve, and the j = 1728 one when p >= 5: each branch
+    # of the solve then meets a random model
+    special = [C for C, _ in _model_and_twists(K)[:-1]]
+    bigger = gf.field_create(p, 2 * n)
+    for S in (E, *special):
+        params = (_random_element(data, K, nonzero=True),
+                  *(_random_element(data, K) for _ in range(3)))
+        L = WeierstrassCurve(K, *autmap.transform_coefficients(S.coefficients, *params))
+        f = autmap.CurveIsomorphism(K, S, L, *params)
+        isos = autmap.find_isomorphisms(S, L, K)
+        assert f in isos
+        for h in isos:
+            assert_transforms(h)
+        for C in (S, L):
+            red = autmap.reduction_isomorphism(C)
+            assert_transforms(red)
+            # L -> S -> R_S and S -> L -> R_L
+            assert_transforms(autmap.compose(red, autmap.invert(f) if C is S else f))
+        automorphisms = autmap.find_isomorphisms(S, S, K)
+        _assert_derived_maps(f, K, automorphisms, bigger)
     # a curve over the prime field, with its automorphisms over K
     k = gf.field_create(p)
     E0 = WeierstrassCurve(k, *(_random_element(data, k) for _ in range(5)))

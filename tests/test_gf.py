@@ -297,12 +297,14 @@ def test_linearized_roots_match_scan(p, n, k):
             assert got == want, (p, n, k, a.canon, rhs.canon)
 
 
-def test_artin_schreier_roots():
+def test_linearized_roots_solve_artin_schreier():
+    # a = -1: the Artin-Schreier equation x^p - x = c
     for p, n in itertools.product((2, 3), (1, 2, 3, 4)):
         ctx = gf.field_create(p, n)
+        minus_one = ctx.scalar(-1)
         for c in gf.enumerate_field(ctx):
             want = [x.canon for x in gf.enumerate_field(ctx) if x ** p - x == c]
-            got = [x.canon for x in gf.artin_schreier_roots(c)]
+            got = [x.canon for x in gf.linearized_roots(minus_one, c)]
             assert got == want
             # solvable exactly when the absolute trace vanishes
             assert bool(want) == (gf.absolute_trace(c) == 0)
