@@ -101,7 +101,10 @@ class WeierstrassCurve:
         point, so counting uses `point_count` instead.  Each x costs one
         root step: a square root (None when there is none) for odd p, and
         for p = 2 one solve of w^2 + w = c, reduced against the echelon of
-        w |-> w^2 + w built once before the walk.
+        w |-> w^2 + w built once before the walk.  This is
+        `gf.linearized_roots(1, c)` with its echelon hoisted out of the
+        loop: rebuilding it for each x makes the walk 4 to 7 times slower
+        over GF(2^6)..GF(2^10).
         """
         if self._points is not None:
             return list(self._points)

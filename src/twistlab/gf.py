@@ -531,7 +531,8 @@ def is_square(e):
 
 def sqrt(e):
     """The least square root of e, or None; for p == 2 squaring is a
-    bijection and the root is unique."""
+    bijection and the root is unique.  On a field without tables this
+    costs one Pohlig-Hellman discrete log, for p == 2 too."""
     roots = nth_roots(e, 2)
     return roots[0] if roots else None
 
