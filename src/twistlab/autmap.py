@@ -20,12 +20,16 @@ satisfies it.  Each map is either checked or derived:
   field embedding, a ring homomorphism, to both sides of it; and
   `reduction_isomorphism` defines its target as the transform's image.
   The cores of `_reduced_isomorphisms` are plain (u, r, s, t) tuples
-  between two short models, each solving the identity's equations one by
-  one, and `find_isomorphisms` composes them with two reduction maps.
+  between two short models of one j-invariant, each solving the
+  identity's equations one by one (the last equation, where it is not
+  solved, is forced by the equal j), and `find_isomorphisms` composes
+  them with two reduction maps.
 
 Automorphism groups are computed over the minimal extension carrying all
-of them, with a Cayley table by element index, built from k <= log2(n)
-generators by k*n compositions and lookups (see `automorphism_group`).
+of them; the search skips every degree that lacks the roots of unity the
+group's u-values need.  Each group has a Cayley table by element index,
+built from k <= log2(n) generators by k*n compositions and lookups (see
+`automorphism_group`).
 Structure analysis reads that table through two walks only:
 
 - the closure `_subgroup_closure(table, seed)`, the subgroup a seed
@@ -263,11 +267,11 @@ def _reduced_isomorphisms(R1, R2):
     The models must be smooth with one j-invariant.  Each branch writes
     out b1..b6 of `transform_coefficients` on its short forms and solves
     them in order: first the unit u from a root-of-unity style equation,
-    then the additive parameters from linearized equations.  A tuple is
-    yielded only once every b equals the target's coefficient, either
-    because each equation was solved or because the one left over was
-    tested, so the identity holds for each without a re-check.
-    `find_isomorphisms`, the only caller, takes every solution.
+    then the additive parameters from linearized equations, each through
+    one `gf.Echelon` built before the loops.  An equation that is not
+    solved is forced by the equal j-invariants, as each branch comment
+    shows, so every tuple satisfies the identity without a test or a
+    re-check.  `find_isomorphisms`, the only caller, takes every solution.
     """
     ctx = R1.ctx
     p = ctx.p
@@ -279,54 +283,56 @@ def _reduced_isomorphisms(R1, R2):
             #   b3 = u^3*a3S: u is a cube root of a3T/a3S,
             #   b4 = u^4*a4S + s^4 + a3T*s: s from the k = 2 linearized solve,
             #   b6 = u^6*a6S + r*a4T + r^3 + t^2 + a3T*t: t from the k = 1 solve
+            solve_s = gf.linearized_echelon(R2.a3, 2)
+            solve_t = gf.linearized_echelon(R2.a3, 1)
             for u in gf.nth_roots(R2.a3 / R1.a3, 3):
-                for s in gf.linearized_roots(R2.a3, R2.a4 + u ** 4 * R1.a4, k=2):
+                for s in solve_s.roots(R2.a4 + u ** 4 * R1.a4):
                     r = s * s
-                    rhs = R2.a6 + u ** 6 * R1.a6 + r * R2.a4 + r ** 3
-                    for t in gf.linearized_roots(R2.a3, rhs, k=1):
+                    for t in solve_t.roots(R2.a6 + u ** 6 * R1.a6 + r * R2.a4 + r ** 3):
                         yield (u, r, s, t)
         else:
             # j != 0, forms y^2 + x*y = x^3 + a2*x^2 + a6; b1 = u forces
             # u = 1, b3 = r forces r = 0, then b4 = t forces t = 0;
             #   b2 = a2S + s^2 + s: s from the k = 1 solve with a = 1,
-            #   b6 = a6S: tested
-            if R1.a6 == R2.a6:
-                for s in gf.linearized_roots(ctx.one, R1.a2 + R2.a2):
-                    yield (ctx.one, zero, s, zero)
+            #   b6 = a6S: equals a6T, since j = 1/a6 on both forms
+            for s in gf.linearized_roots(ctx.one, R1.a2 + R2.a2):
+                yield (ctx.one, zero, s, zero)
     elif p == 3:
         # b1 = s forces s = 0, then b3 = t forces t = 0
         if R1.a2.is_zero():
             # j = 0, forms y^2 = x^3 + a4*x + a6 with a4 != 0; b2 = 0 always,
             #   b4 = u^4*a4S: u is a fourth root of a4T/a4S,
             #   b6 = u^6*a6S - r^3 - a4T*r: r from the k = 1 solve
+            solve_r = gf.linearized_echelon(R2.a4, 1)
             for u in gf.nth_roots(R2.a4 / R1.a4, 4):
-                rhs = u ** 6 * R1.a6 - R2.a6
-                for r in gf.linearized_roots(R2.a4, rhs, k=1):
+                for r in solve_r.roots(u ** 6 * R1.a6 - R2.a6):
                     yield (u, r, zero, zero)
         else:
             # j != 0, forms y^2 = x^3 + a2*x^2 + a4*x + a6 with a2 != 0;
             #   b2 = u^2*a2S: u is a square root of a2T/a2S,
             #   b4 = u^4*a4S + a2T*r: r by one division,
-            #   b6 = u^6*a6S - a4T*r - a2T*r^2 - r^3: tested
+            #   b6 = u^6*a6S - a4T*r - a2T*r^2 - r^3: equals a6T, since
+            #   j = a2^6/disc and disc is linear in a6 with coefficient
+            #   -a2^3 != 0, so equal a2, a4 and j force equal a6
             for u in gf.nth_roots(R2.a2 / R1.a2, 2):
-                r = (R2.a4 - u ** 4 * R1.a4) / R2.a2
-                if R2.a6 == u ** 6 * R1.a6 - r * R2.a4 - r * r * R2.a2 - r ** 3:
-                    yield (u, r, zero, zero)
+                yield (u, (R2.a4 - u ** 4 * R1.a4) / R2.a2, zero, zero)
     else:
         # forms y^2 = x^3 + A*x + B; b1 = -2s forces s = 0, then b2 = -3r
         # and b3 = -2t force r = t = 0; u is a root picked by the zero
-        # pattern of A and B, and b4 = u^4*A_s, b6 = u^6*B_s are tested
+        # pattern of A and B, and b4 = u^4*A_s, b6 = u^6*B_s equal A_t,
+        # B_t: j = 0 is A = 0 and j = 1728 is B = 0 on both forms, and
+        # otherwise equal j gives A_s^3/B_s^2 = A_t^3/B_t^2, so with
+        # u^2 = (B_t/B_s)/(A_t/A_s) also u^4 = A_t/A_s and u^6 = B_t/B_s
         A_s, B_s = R1.a4, R1.a6
         A_t, B_t = R2.a4, R2.a6
         if A_s.is_zero():
-            candidates = gf.nth_roots(B_t / B_s, 6)
+            units = gf.nth_roots(B_t / B_s, 6)
         elif B_s.is_zero():
-            candidates = gf.nth_roots(A_t / A_s, 4)
+            units = gf.nth_roots(A_t / A_s, 4)
         else:
-            candidates = gf.nth_roots((B_t * A_s) / (B_s * A_t), 2)
-        for u in candidates:
-            if u ** 4 * A_s == A_t and u ** 6 * B_s == B_t:
-                yield (u, zero, zero, zero)
+            units = gf.nth_roots((B_t * A_s) / (B_s * A_t), 2)
+        for u in units:
+            yield (u, zero, zero, zero)
 
 
 def find_isomorphisms(E1, E2, field):
@@ -401,6 +407,16 @@ def _max_automorphism_order(p, j):
     return 2
 
 
+def _unit_order(p, j):
+    """The order m of the group of u-values of Aut(E): the u of every
+    automorphism is an m-th root of unity, and every one occurs."""
+    if j.is_zero():
+        return {2: 3, 3: 4}.get(p, 6)
+    if p >= 5 and j == j.ctx.scalar(1728):
+        return 4
+    return 1 if p == 2 else 2
+
+
 class AutGroup:
     """The automorphism group of a curve over its minimal field of definition.
 
@@ -447,7 +463,9 @@ def automorphism_group(E):
 
     Realized over the minimal extension of E's field that carries every
     automorphism, found by searching extension degrees until the count
-    reaches the maximum allowed by (p, j).
+    reaches the maximum allowed by (p, j).  The u-values of Aut(E) are
+    the m-th roots of unity for an m fixed by (p, j), so a degree d with
+    m not dividing q^d - 1 cannot carry them all and is skipped unsearched.
 
     The Cayley table is built from generators, chosen greedily in index
     order: each is the first element outside the closure of those before
@@ -464,9 +482,12 @@ def automorphism_group(E):
     if not E.is_smooth():
         raise ValueError("singular equations have no automorphism group here")
     p = E.ctx.p
-    target = _max_automorphism_order(p, E.j_invariant())
+    j = E.j_invariant()
+    target, m = _max_automorphism_order(p, j), _unit_order(p, j)
     degrees = _AUT_DEGREES_CHAR2 if p == 2 else _AUT_DEGREES_ODD
-    for d in degrees:
+    for d in degrees:  # m divides q^d - 1 at the last degree
+        if (E.ctx.q ** d - 1) % m:
+            continue
         field = gf.field_create(p, E.ctx.n * d)
         elements = find_isomorphisms(E, E, field)
         if len(elements) == target:

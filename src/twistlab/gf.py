@@ -483,8 +483,15 @@ def _dlog(e):
 
 
 def _subgroup_log(ctx, gamma, h, ell):
-    """The d in [0, ell) with gamma^d == h for gamma of prime order ell, by
-    baby-step giant-step: at most m ~ sqrt(ell) steps of each kind."""
+    """The d in [0, ell) with gamma^d == h for gamma of prime order ell.
+
+    0 at once when h == 1, with no table built: a log of an element whose
+    order is prime to ell, such as the 1 of every automorphism search's
+    `nth_roots(1, m)`, is then free.  Otherwise baby-step giant-step: at
+    most m ~ sqrt(ell) steps of each kind.
+    """
+    if h == 1:
+        return 0
     mul = ctx._mul
     m = math.isqrt(ell - 1) + 1
     baby, acc = {}, 1
@@ -597,6 +604,14 @@ class Echelon:
             out = [add(y, mul(d, k)) for y in out for d in range(self.ctx.p)]
         return sorted(out)
 
+    def roots(self, rhs):
+        """Every x with f(x) == rhs, ascending, as field elements."""
+        ctx = self.ctx
+        if rhs.ctx is not ctx:
+            raise ValueError(f"mixed fields: {ctx} and {rhs.ctx}")
+        residue, x = self.reduce(rhs.v)
+        return [] if residue else [FieldElem(ctx, y) for y in self.kernel_coset(x)]
+
     def residues(self):
         """The least element of each coset of the image, ascending.
 
@@ -620,14 +635,11 @@ def linearized_roots(a, rhs, k=1):
     """All x in the field with x^(p^k) + a*x == rhs, ascending.
 
     The left side is GF(p)-linear in x, so this is exact linear algebra on
-    canonical ints; it works at any field size in scope.
+    canonical ints; it works at any field size in scope.  A caller that
+    solves with one (a, k) for several right sides builds
+    `linearized_echelon(a, k)` once and calls its `roots`.
     """
-    ctx = a.ctx
-    if rhs.ctx is not ctx:
-        raise ValueError(f"mixed fields: {ctx} and {rhs.ctx}")
-    ech = linearized_echelon(a, k)
-    residue, x = ech.reduce(rhs.v)
-    return [] if residue else [FieldElem(ctx, y) for y in ech.kernel_coset(x)]
+    return linearized_echelon(a, k).roots(rhs)
 
 
 def _trace_form(ctx):

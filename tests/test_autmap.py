@@ -319,6 +319,51 @@ def test_find_isomorphisms_solves_without_rechecking(monkeypatch):
         assert calls == {"transform": 2, "checked": 0}, (E, L)
 
 
+@pytest.mark.parametrize("p,n,coeffs,echelons", [
+    (2, 4, (0, 0, 1, 0, 0), 2),
+    (2, 10, (0, 0, 1, 1, 1), 2),
+    (3, 6, (0, 0, 0, 2, 0), 1),
+    (3, 10, (0, 0, 0, 2, 1), 1),
+])
+def test_find_isomorphisms_builds_each_echelon_once(monkeypatch, p, n, coeffs, echelons):
+    # j = 0 in characteristics 2 and 3: one echelon per linearized equation,
+    # however many roots u (and, at p = 2, s) the search walks
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *coeffs)
+    calls, build = [0], gf.linearized_echelon
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gf, "linearized_echelon", counted)
+    assert autmap.find_isomorphisms(E, E, K)
+    assert calls[0] == echelons
+
+
+@pytest.mark.parametrize("p,n,coeffs,searched,field_n", [
+    (1019, 1, (0, 0, 0, 0, 1), [2], 2),
+    (3, 5, (0, 0, 0, 2, 1), [10, 20, 30], 30),
+    (2, 7, (0, 0, 1, 1, 1), [14, 28], 28),
+])
+def test_degree_search_skips_fields_without_the_units(monkeypatch, p, n, coeffs,
+                                                      searched, field_n):
+    # Aut's u-values are the m-th roots of unity (m = 6, 4 and 3 here), so
+    # only degrees whose field has them are searched
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *coeffs)
+    degrees, find = [], autmap.find_isomorphisms
+
+    def recorded(E1, E2, field):
+        degrees.append(field.n)
+        return find(E1, E2, field)
+
+    monkeypatch.setattr(autmap, "find_isomorphisms", recorded)
+    G = autmap.automorphism_group(E)
+    assert degrees == searched
+    assert (G.field.p, G.field.n) == (p, field_n)
+
+
 def test_reduction_shapes():
     # odd characteristic >= 5: full short form
     R = autmap.reduction_isomorphism(WeierstrassCurve(F7, 1, 2, 3, 4, 5)).target

@@ -335,6 +335,37 @@ def test_echelon_reduces_to_the_coset_minimum(p, n):
                 least.add(residue)
             assert ech.residues() == sorted(least), (k, a)
             assert ech.kernel_coset(0) == [x for x in els if not f[x]], (k, a)
+            # roots(v) is the full preimage of v, ascending
+            preimages = {}
+            for x in els:
+                preimages.setdefault(f[x], []).append(x)
+            for v in els:
+                got = [y.v for y in ech.roots(ctx.from_canon(v))]
+                assert got == preimages.get(v, []), (k, a, v)
+
+
+def test_echelon_roots_reject_mixed_fields():
+    ech = gf.linearized_echelon(gf.field_create(2, 3).one)
+    with pytest.raises(ValueError, match="mixed fields"):
+        ech.roots(gf.field_create(2, 4).one)
+
+
+def test_trivial_log_builds_no_baby_step_table(monkeypatch):
+    # p - 1 = 2 * l with l a 40-bit prime: a baby-step table for l would
+    # take about 2^20 products, but the log of 1 is 0 at every prime
+    F = gf.field_create(2199023255867)
+    assert sorted(F._unit_factors) == [2, (F.p - 1) // 2]
+    calls, mul = [0], F._mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(F, "_mul", counted)
+    assert gf.nth_roots(F.one, 2) == [F.one, F.scalar(-1)]
+    assert calls[0] < 1000
+    monkeypatch.undo()
+    assert F._mul is mul
 
 
 def test_absolute_trace():
