@@ -27,10 +27,12 @@ satisfies it.  Each map is either checked or derived:
 
 Automorphism groups are computed over the minimal extension carrying all
 of them; the search skips every degree that lacks the roots of unity the
-group's u-values need.  Each group has a Cayley table by element index,
-built from k <= log2(n) generators by k*n compositions and lookups (see
-`automorphism_group`).
-Structure analysis reads that table through two walks only:
+group's u-values need.  Each group keeps one walk from the identity: its
+k <= log2(n) generators, and every other element written as a word
+parent(e) o g_j (see `automorphism_group`).  The walk has two readers: the
+Cayley table, filled by k*n compositions and lookups, and in `twistcoh`
+the Frobenius action, which looks up the images of the generators only.
+Structure analysis reads the table through two walks:
 
 - the closure `_subgroup_closure(table, seed)`, the subgroup a seed
   generates: element orders, cyclic subgroups and the lattice;
@@ -41,9 +43,11 @@ Structure analysis reads that table through two walks only:
 
 Every group that occurs (C2, C4, C6, the order-12 group at p = 3 and
 SL(2,3) at p = 2) has every subgroup generated by two elements, so the
-lattice is the set of closures of pairs.
+lattice is the set of closures of pairs; since <a, b> depends only on
+<a> and <b>, one generator per cyclic subgroup suffices.
 """
 
+import itertools
 import math
 
 from . import gf
@@ -421,16 +425,20 @@ class AutGroup:
     """The automorphism group of a curve over its minimal field of definition.
 
     `index` maps each element's `param_key` to its position in `elements`.
+    `generators` are the indices of the group's generators g_0..g_{k-1},
+    and `walk` lists every element e but the identity as (e, parent, j)
+    with e = parent o g_j, each parent before the elements it leads to.
     """
 
     __slots__ = ("curve", "field", "elements", "cayley", "inverses",
-                 "_index", "_subgroups", "_structure")
+                 "generators", "walk", "_index", "_subgroups", "_structure")
 
-    def __init__(self, curve, field, elements, cayley, index):
+    def __init__(self, curve, field, elements, cayley, index, generators, walk):
         self.curve = curve
         self.field = field
         self.elements = tuple(elements)
         self.cayley = cayley
+        self.generators, self.walk = generators, walk
         self.inverses = tuple(row.index(0) for row in cayley)
         self._index = index
         self._subgroups = None
@@ -477,7 +485,8 @@ def automorphism_group(E):
     row follows by lookups only: a o e = (a o parent(e)) o g.  Closure
     under the generators proves closure under composition, because
     composition of maps is associative and every element is a word in
-    the generators.
+    the generators.  The group keeps the generators and the walk, which
+    `twistcoh.frobenius_action` reads too.
     """
     if not E.is_smooth():
         raise ValueError("singular equations have no automorphism group here")
@@ -498,33 +507,35 @@ def automorphism_group(E):
     params = [f.params for f in elements]
     index = {f.param_key(): i for i, f in enumerate(elements)}
     n = len(params)
-    # walk lists the elements in the order reached from the identity; each
-    # e after the first is parent[e] o g, and step[e] is g's products x o g
-    walk, parent, step, products = [0], {0: None}, {}, []
-    while len(walk) < n:
-        g = params[next(i for i in range(n) if i not in parent)]
+    # walk lists the elements as (e, parent, j) in the order reached from
+    # the identity, e = parent o generators[j]; products[j] holds x o g_j
+    generators, products, walk, reached = [], [], [(0, None, None)], {0}
+    while len(reached) < n:
+        g = next(i for i in range(n) if i not in reached)
         times_g = []
         for a in params:
-            k = index.get(tuple(x.canon for x in _compose_params(a, g)))
+            k = index.get(tuple(x.canon for x in _compose_params(a, params[g])))
             if k is None:
                 raise _fault(E, field, "automorphism group",
                              "automorphism set is not closed under composition")
             times_g.append(k)
+        generators.append(g)
         products.append(times_g)
-        for a in walk:
-            for right in products:
+        for a, _, _ in walk:
+            for j, right in enumerate(products):
                 e = right[a]
-                if e not in parent:
-                    parent[e], step[e] = a, right
-                    walk.append(e)
+                if e not in reached:
+                    reached.add(e)
+                    walk.append((e, a, j))
+    walk = tuple(walk[1:])
     cayley = []
     for a in range(n):
         row = [None] * n
         row[0] = a
-        for e in walk[1:]:
-            row[e] = step[e][row[parent[e]]]
+        for e, parent, j in walk:
+            row[e] = products[j][row[parent]]
         cayley.append(tuple(row))
-    return AutGroup(E, field, elements, tuple(cayley), index)
+    return AutGroup(E, field, elements, tuple(cayley), index, tuple(generators), walk)
 
 
 class SubgroupInfo:
@@ -586,20 +597,24 @@ def all_subgroups(G):
     """Every subgroup of G, as SubgroupInfo, sorted by (order, indices).
 
     Every group here has every subgroup generated by two elements (see
-    the module docstring), so the lattice is the set of closures of pairs
-    (a, b), a <= b; the cyclic subgroups are those of a = b.  A subgroup
-    is normal exactly when it is a union of conjugacy classes.
+    the module docstring), so the lattice is the set of closures of pairs.
+    The closure of (a, b) depends only on the cyclic subgroups <a> and
+    <b>, so after the n cyclic closures one generator of each of the c
+    cyclic subgroups is closed pair by pair: n + c(c-1)/2 closures in
+    all.  A subgroup is normal exactly when it is a union of conjugacy
+    classes.
     """
     if G._subgroups is not None:
         return list(G._subgroups)
     table, n = G.cayley, G.order
-    cyclic = {_subgroup_closure(table, (a,)) for a in range(n)}
-    found = {_subgroup_closure(table, (a, b)) for a in range(n) for b in range(a + 1, n)}
+    cyclic = {_subgroup_closure(table, (a,)): a for a in range(n)}
+    found = {_subgroup_closure(table, pair)
+             for pair in itertools.combinations(cyclic.values(), 2)}
     classes = _twisted_classes(G, range(n), range(n))
     infos = [
         SubgroupInfo(tuple(sorted(H)), len(H), H in cyclic,
                      all(c <= H or H.isdisjoint(c) for c in classes))
-        for H in found | cyclic
+        for H in found | cyclic.keys()
     ]
     infos.sort(key=lambda s: (s.order, s.indices))
     G._subgroups = infos

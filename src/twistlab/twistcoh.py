@@ -25,8 +25,20 @@ class FrobAction:
     """Frobenius acting on an automorphism group, as an index permutation.
 
     `perm[i]` is the index of Fr(elements[i]) where Fr is the q-power map
-    of `base`.  The permutation must respect the Cayley table; a failure
-    there means the group itself was built wrong.
+    of `base`.  `frobenius_action` builds it from the images of the
+    group's generators along its walk, and it is a group automorphism
+    without a check on the Cayley table:
+
+    - Fr is a ring automorphism of the group's field that fixes GF(p),
+      and `autmap._compose_params` is a polynomial with integer
+      coefficients, so Fr(a o g) = Fr(a) o Fr(g): the walk gives each
+      element its own image, and the map respects composition;
+    - E's coefficients are fixed by Fr (`frobenius_action` checks this
+      on entry), so Fr carries Aut(E) into itself, and it is injective
+      on parameters, so it permutes the group.
+
+    `order` is the least m with perm^m the identity; it must divide the
+    degree of the group's field over `base`.
     """
 
     __slots__ = ("group", "base", "perm", "order")
@@ -35,27 +47,16 @@ class FrobAction:
         self.group = group
         self.base = base
         self.perm = tuple(perm)
-        n = group.order
-        stage = _ACTION_STAGE
-        if sorted(self.perm) != list(range(n)):
-            raise autmap._fault(group.curve, base, stage,
-                                "Frobenius map is not a permutation of the group")
-        table = group.cayley
-        for i in range(n):
-            for j in range(n):
-                if self.perm[table[i][j]] != table[self.perm[i]][self.perm[j]]:
-                    raise autmap._fault(group.curve, base, stage,
-                                        "Frobenius permutation is not a group automorphism")
         order = 1
         current = self.perm
-        identity = tuple(range(n))
+        identity = tuple(range(group.order))
         while current != identity:
             current = tuple(self.perm[i] for i in current)
             order += 1
         degree = group.field.n // base.n
         if degree % order != 0:
-            raise autmap._fault(group.curve, base, stage, f"action order {order} "
-                                f"does not divide the field degree {degree}")
+            raise autmap._fault(group.curve, base, _ACTION_STAGE, f"action order "
+                                f"{order} does not divide the field degree {degree}")
         self.order = order
 
     def __repr__(self):
@@ -146,18 +147,25 @@ def frobenius_action(G, base):
     The curve is defined over `base`, so the Frobenius image of each
     automorphism's parameters is again an automorphism: `galois_apply`
     would check that identity, and here the images are only looked up.
+    Only the k generators of G are mapped, by 4k Frobenius powers; along
+    G's walk each element e = parent o g_j then has its image
+    Fr(e) = Fr(parent) o Fr(g_j), one Cayley-table lookup (see
+    `FrobAction` for why Fr respects composition).
     """
     if base.p != G.field.p or G.field.n % base.n != 0:
         raise ValueError(f"{G.field} does not extend {base}")
     if any(gf.frobenius(a, base.n) != a for a in G.curve.coefficients):
         raise ValueError("curves are not defined over the declared base field")
-    perm = []
-    for f in G.elements:
-        k = G.index_of_key(tuple(gf.frobenius(x, base.n).canon for x in f.params))
+    images = []
+    for g in G.generators:
+        k = G.index_of_key(tuple(gf.frobenius(x, base.n).canon for x in G.elements[g].params))
         if k is None:
             raise autmap._fault(G.curve, base, _ACTION_STAGE,
                                 "Frobenius carries an automorphism outside the group")
-        perm.append(k)
+        images.append(k)
+    perm = [0] * G.order
+    for e, parent, j in G.walk:
+        perm[e] = G.cayley[perm[parent]][images[j]]
     return FrobAction(G, base, perm)
 
 

@@ -358,6 +358,15 @@ def brute_force_cayley(elements):
     )
 
 
+def is_group_automorphism(table, perm):
+    """Whether perm is a permutation of the indices of a Cayley table with
+    perm(a * b) = perm(a) * perm(b) for every pair: n^2 lookups."""
+    n = len(table)
+    return sorted(perm) == list(range(n)) and all(
+        perm[table[a][b]] == table[perm[a]][perm[b]] for a in range(n) for b in range(n)
+    )
+
+
 def power_order(G, i):
     """Order of element i: multiply by i until the identity comes back."""
     k, cur = 1, i

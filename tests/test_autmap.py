@@ -448,9 +448,26 @@ def test_cayley_table_costs_log_n_compositions_per_element(
     compose_params = autmap._compose_params
     monkeypatch.setattr(autmap, "_compose_params",
                         lambda f, g: calls.append(1) or compose_params(f, g))
-    assert autmap.automorphism_group(E).cayley == G.cayley
-    # (floor(log2 n) + 1) * n, against n^2 for every pair
-    assert len(calls) <= order.bit_length() * order
+    H = autmap.automorphism_group(E)
+    assert H.cayley == G.cayley
+    # each generator at least doubles the closure of those before it, so
+    # k <= floor(log2 n), and each costs n compositions, against n^2
+    assert len(H.generators) <= order.bit_length() - 1
+    assert len(calls) == len(H.generators) * order
+
+
+@pytest.mark.parametrize("p,n,coeffs,order,degree", GROUP_SHAPES, ids=SHAPE_IDS)
+def test_subgroup_lattice_costs_one_closure_per_pair_of_cyclic_subgroups(
+        monkeypatch, p, n, coeffs, order, degree):
+    G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+    calls = []
+    closure = autmap._subgroup_closure
+    monkeypatch.setattr(autmap, "_subgroup_closure",
+                        lambda table, seed: calls.append(1) or closure(table, seed))
+    c = sum(H.is_cyclic for H in autmap.all_subgroups(G))
+    # n cyclic closures, then one per pair of cyclic subgroups, against
+    # n(n+1)/2 for every pair of elements
+    assert len(calls) <= order + c * (c - 1) // 2
 
 
 def test_cayley_table_faults_on_a_set_not_closed(monkeypatch, G24):

@@ -56,20 +56,41 @@ def test_action_orders(G12, G24):
         twistcoh.frobenius_action(G12, F4)
 
 
-def test_action_perm_is_checked_galois_apply(G12, G24):
-    for G in (G12, G24):
-        m = G.field.n
-        for base in (gf.field_create(G.field.p, d) for d in range(1, m + 1) if m % d == 0):
+def _bases(G, n):
+    """Every field between GF(p^n), a curve's field, and G's field."""
+    return [gf.field_create(G.field.p, n * d)
+            for d in range(1, G.field.n // n + 1) if G.field.n % (n * d) == 0]
+
+
+def test_action_perm_is_checked_galois_apply():
+    # the walk's perm is the per-element checked lookup, and an automorphism
+    for p, n, coeffs in oracles.WALK_CURVES:
+        G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+        for base in _bases(G, n):
             checked = [G.index_of(autmap.galois_apply(f, base)) for f in G.elements]
-            assert list(_action(G, base).perm) == checked
+            perm = _action(G, base).perm
+            assert list(perm) == checked
+            assert oracles.is_group_automorphism(G.cayley, perm)
 
 
-def test_action_rejects_non_automorphism_permutation(G12):
+@pytest.mark.parametrize("p,n,coeffs", oracles.WALK_CURVES,
+                         ids=[f"{p}^{n}-{c}" for p, n, c in oracles.WALK_CURVES])
+def test_action_costs_four_frobenius_powers_per_generator(monkeypatch, p, n, coeffs):
+    # five for the curve's coefficients, four for each generator's parameters
+    G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+    calls = []
+    frobenius = gf.frobenius
+    monkeypatch.setattr(gf, "frobenius", lambda a, k: calls.append(1) or frobenius(a, k))
+    for base in _bases(G, n):
+        calls.clear()
+        _action(G, base)
+        assert len(calls) <= 5 + 4 * len(G.generators)
+
+
+def test_automorphism_oracle_rejects_swapped_permutation(G12):
     ident = list(range(12))
     ident[1], ident[2] = ident[2], ident[1]
-    with pytest.raises(RuntimeError, match=r"^Frobenius action on the automorphisms "
-                       r"of 0,0,0,2,0 over GF\(3\): Frobenius permutation"):
-        twistcoh.FrobAction(G12, F3, tuple(ident))
+    assert not oracles.is_group_automorphism(G12.cayley, ident)
 
 
 def test_action_rejects_curve_off_base():
@@ -80,16 +101,15 @@ def test_action_rejects_curve_off_base():
     assert twistcoh.frobenius_action(G, F9).order == 1
 
 
-def test_corrupted_cayley_table_is_detected(G12):
+def test_automorphism_oracle_rejects_corrupted_table(G12):
     # corrupt one product in the row of an element Frobenius moves; the
-    # equivariance check against the broken table must then fail
-    moved = next(i for i, k in enumerate(_action(G12, F3).perm) if k != i)
+    # action's perm is then no automorphism of the broken table
+    perm = _action(G12, F3).perm
+    moved = next(i for i, k in enumerate(perm) if k != i)
     table = [list(row) for row in G12.cayley]
     table[moved][0] = 0
-    broken = autmap.AutGroup(G12.curve, G12.field, G12.elements,
-                             tuple(tuple(row) for row in table), G12._index)
-    with pytest.raises(RuntimeError):
-        twistcoh.frobenius_action(broken, F3)
+    assert oracles.is_group_automorphism(G12.cayley, perm)
+    assert not oracles.is_group_automorphism(table, perm)
 
 
 def test_classes_over_f3_exact(G12):
@@ -441,10 +461,8 @@ def test_twisted_walks_match_direct_walks(p, n, coeffs):
     # every base between the curve's field and the group's field
     E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
     G = autmap.automorphism_group(E)
-    for d in range(1, G.field.n // n + 1):
-        if G.field.n % (n * d):
-            continue
-        A = twistcoh.frobenius_action(G, gf.field_create(p, n * d))
+    for base in _bases(G, n):
+        A = twistcoh.frobenius_action(G, base)
         classes = twistcoh.frobenius_classes(A)
         assert [c.indices for c in classes] == oracles.twisted_partition(A, range(G.order))
         assert len(classes) == len(oracles.frobenius_fixed_classes(A))

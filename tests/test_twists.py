@@ -1,6 +1,7 @@
 """Twist enumeration, explicit twist families, and the table verifier."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -453,6 +454,24 @@ def test_short_classes_mass_formula(p, n):
         assert mass == 1, j
         total += mass
     assert total == F.q
+
+
+@pytest.mark.parametrize("p", [13, 37, 61, 97, 10009, 65521])
+def test_twist_traces_are_the_cm_conjugates(p):
+    # label-free (Ireland-Rosen, ch. 18): Frobenius of E is an element of
+    # norm p in Z[zeta_3] (j = 0, p = 1 mod 3) or Z[i] (j = 1728, p = 1 mod 4)
+    # with trace a, and a twist multiplies it by a unit, so from 4p = a^2 + 3b^2
+    # the six traces are +-a, +-(a + 3b)/2, +-(a - 3b)/2, and from
+    # 4p = a^2 + 4b^2 the four are +-a, +-2b
+    F = gf.field_create(p)
+    for coeffs, c in (((0, 0, 0, 0, 1), 3), ((0, 0, 0, 1, 0), 4)):
+        report = twists.enumerate_twists(WeierstrassCurve(F, *coeffs), F)
+        a = p + 1 - report.source.point_count()
+        b = math.isqrt((4 * p - a * a) // c)
+        assert a * a + c * b * b == 4 * p
+        units = [a, (a + 3 * b) // 2, (a - 3 * b) // 2] if c == 3 else [a, 2 * b]
+        assert (sorted(p + 1 - e.point_count for e in report.entries)
+                == sorted(units + [-t for t in units]))
 
 
 def test_verify_twist_tables():
