@@ -25,24 +25,27 @@ Kernels.  Each context carries int-level kernels chosen by its kind
   carry-less multiply reduced by the modulus;
 - odd p, n > 1: Kronecker substitution for products.  The digit vectors
   are packed into wide bit slots, multiplied as one int, folded by the
-  modulus and reduced mod p in every slot at once.  Sums and differences
-  go digit by digit, several digits per step through small tables when
-  p <= 7.
+  modulus and reduced mod p in every slot at once.  A reduced product is
+  packed again, so a power packs its base once and unpacks once, however
+  many squarings it takes.  Sums and differences go digit by digit,
+  several digits per step through small tables when p <= 7.
 
 Tables.  Following the lookup-table design of the `galois` library
 (https://github.com/mhostetter/galois), the first walk of a whole field,
-an O(q) cost its caller pays anyway (a point count, `enumerate_field` for
-the oracles of the tests), builds exp and log tables over the canonical
-generator, stored as compact arrays, plus Zech logs when p is odd and
-n > 1.  From then on products, inverses and powers in GF(p^n), n > 1, are
-table lookups, odd-p sums go through the Zech logs, and the discrete log
-reads the log table; `is_square` (one power) and `sqrt` and `nth_roots`
-(one discrete log) reach the tables only through these.  Only
-`enumerate_field` also builds the list of every element as a `FieldElem`;
-a point count reads canonical ints and never does.  Fields used only for
-roots, linear algebra and embeddings are never tabled; their discrete
-logs use Pohlig-Hellman.  Importing the module creates no field and
-builds no table.
+an O(q) cost its caller pays anyway (a point count, `enumerate_field`
+for the oracles of the tests), builds exp and log tables over the
+canonical generator, stored as compact arrays, plus Zech logs when p is
+odd and n > 1.  The exp table is the context's `_powers` walk of the
+generator, which on the packed kernel keeps the running power packed.
+From then on products, inverses and powers in GF(p^n), n > 1, are table
+lookups, odd-p sums go through the Zech logs, and the discrete log reads
+the log table; `is_square` (one power) and `sqrt` and `nth_roots` (one
+discrete log) reach the tables only through these.  Only
+`enumerate_field` also builds the list of every element as a
+`FieldElem`; a point count reads canonical ints and never does.  Fields
+used only for roots, linear algebra and embeddings are never tabled;
+their discrete logs use Pohlig-Hellman.  Importing the module creates no
+field and builds no table.
 
 Limit.  The working limit is the most elements one step may walk; the
 size of a field is not limited.  Three steps walk: a whole field
@@ -122,8 +125,8 @@ def _is_field(ctx):
     product of fields GF(p^d), d | n.  Then f is irreducible exactly when
     X^(p^(n/l)) - X is a unit of R for every prime l | n, which is
     Rabin's condition gcd(x^(p^(n/l)) - x, f) = 1.  A candidate context
-    is never tabled, so its `_pow` is square-and-multiply and takes any
-    base and exponent.
+    is never tabled, so its `_pow` takes any base, zero included, and any
+    exponent, q - 1 included.
 
     Written with the exponent q - 1, the second condition alone already
     forces f to be irreducible, so no test can tell the first one apart.
@@ -205,13 +208,15 @@ class FieldCtx:
     identity; the candidate contexts it tests and rejects are discarded.
     `_add`, `_sub`, `_neg`, `_mul`, `_inv` and `_pow` are the field's
     kernels on canonical ints; `_pow` takes a nonzero base and an exponent
-    already reduced mod q - 1.
+    already reduced mod q - 1.  `_powers(g, count)` yields g^0, ...,
+    g^(count - 1), the walk that builds the exp table.
     """
 
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
         "_generator", "_unit_factors", "_embed_cache", "_exp", "_log",
         "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
+        "_powers",
     )
 
     def __init__(self, p, n, modulus):
@@ -598,10 +603,15 @@ class Echelon:
         return v, x
 
     def kernel_coset(self, x):
-        """x plus every element of the kernel, ascending."""
+        """x plus every element of the kernel, ascending.
+
+        Takes p products per kernel vector, its multiples, and only sums
+        after that.
+        """
         add, mul, out = self.ctx._add, self.ctx._mul, [x]
         for k in self.kernel:
-            out = [add(y, mul(d, k)) for y in out for d in range(self.ctx.p)]
+            multiples = [mul(d, k) for d in range(self.ctx.p)]
+            out = [add(y, dk) for y in out for dk in multiples]
         return sorted(out)
 
     def roots(self, rhs):

@@ -1,10 +1,11 @@
 """Kernels on canonical ints behind `twistlab.gf`, one set per kind of field.
 
 Each `*_kernels(ctx)` function fills a context's `_add`, `_sub`, `_neg`,
-`_mul`, `_inv` and `_pow` (see `gf.FieldCtx`).  `table_kernels` builds a
-field's exp/log tables once it has been enumerated and, for n > 1, moves
-its products, inverses and powers onto lookups.  The module docstring of
-`twistlab.gf` describes the encoding and when each set is used.
+`_mul`, `_inv`, `_pow` and `_powers` (see `gf.FieldCtx`).  `table_kernels`
+builds a field's exp/log tables from `_powers` once it has been enumerated
+and, for n > 1, moves its products, inverses and powers onto lookups.  The
+module docstring of `twistlab.gf` describes the encoding and when each set
+is used.
 """
 
 from array import array
@@ -23,6 +24,15 @@ def _square_and_multiply(mul):
     return power
 
 
+def _iterated_powers(mul):
+    def powers(g, count):
+        cur = 1
+        for _ in range(count):
+            yield cur
+            cur = mul(cur, g)
+    return powers
+
+
 def prime_kernels(ctx):
     p = ctx.p
     ctx._add = lambda a, b: (a + b) % p
@@ -31,6 +41,7 @@ def prime_kernels(ctx):
     ctx._mul = lambda a, b: a * b % p
     ctx._inv = lambda a: pow(a, -1, p)
     ctx._pow = lambda a, e: pow(a, e, p)
+    ctx._powers = _iterated_powers(ctx._mul)
 
 
 def binary_kernels(ctx):
@@ -58,6 +69,7 @@ def binary_kernels(ctx):
     ctx._mul = mul
     ctx._inv = lambda a: power(a, qm2)
     ctx._pow = power
+    ctx._powers = _iterated_powers(mul)
 
 
 def packed_kernels(ctx):
@@ -72,6 +84,11 @@ def packed_kernels(ctx):
     c digits move between the canonical int and the packed form through
     two p^c-entry lookups.  Sums and differences skip the packing and go
     digit by digit (`_digitwise_kernels`).
+
+    A reduced product is again a packed element, so a power packs its
+    base once, squares and multiplies on packed ints, and unpacks once;
+    `_powers` keeps the running power packed and unpacks each entry.  A
+    constant base stays in GF(p) and takes the built-in `pow`.
     """
     p, n = ctx.p, ctx.n
     g = [(-c) % p for c in ctx.modulus[:n]]
@@ -111,7 +128,7 @@ def packed_kernels(ctx):
         return s
 
     def unpack(s):
-        s -= (((s * m) >> k) & quotient_mask) * p
+        """The canonical int of a packed element whose slots are below p."""
         v, place = 0, 1
         while s:
             v += gather[s & chunk_mask] * place
@@ -119,17 +136,32 @@ def packed_kernels(ctx):
             place *= chunk
         return v
 
-    def mul(a, b):
-        if b < p:  # a constant: scale every slot, nothing to fold
-            return unpack(pack(a) * b)
-        if a < p:
-            return unpack(pack(b) * a)
-        s = pack(a) * pack(b)
+    def product(s, t):
+        """The packed product of two packed elements: fold, then every slot
+        (each below 2^h) mod p."""
+        s *= t
         while s >> low_bits:
             s = (s & low_mask) + (s >> low_bits) * folded
-        return unpack(s)
+        return s - (((s * m) >> k) & quotient_mask) * p
 
-    power = _square_and_multiply(mul)
+    def mul(a, b):
+        if a < p:  # a constant packs to itself
+            return unpack(product(pack(b), a))
+        return unpack(product(pack(a), b if b < p else pack(b)))
+
+    packed_power = _square_and_multiply(product)
+
+    def power(a, e):
+        if a < p:
+            return pow(a, e, p)
+        return unpack(packed_power(pack(a), e))
+
+    def powers(g, count):
+        s, t = 1, pack(g)
+        for _ in range(count):
+            yield unpack(s)
+            s = product(s, t)
+
     qm2 = ctx.q - 2
     add, sub = _digitwise_kernels(p)
     ctx._add, ctx._sub = add, sub
@@ -137,6 +169,7 @@ def packed_kernels(ctx):
     ctx._mul = mul
     ctx._inv = lambda a: power(a, qm2)
     ctx._pow = power
+    ctx._powers = powers
 
 
 _DIGITWISE = {}
@@ -211,21 +244,19 @@ def _chunk_op(table, P):
 def table_kernels(ctx, g):
     """Exp/log tables over the generator g, and the table kernels.
 
-    exp has 2(q - 1) entries, so a sum of two logs needs no reduction.
-    Prime fields keep their native kernels and use the tables for roots.
-    For odd p, sums, differences and negation go through Zech logs.
+    exp is read off the context's own `_powers(g, q - 1)`, then repeated
+    once: it has 2(q - 1) entries, so a sum of two logs needs no
+    reduction.  Prime fields keep their native kernels and use the tables
+    for roots.  For odd p, sums, differences and negation go through Zech
+    logs.
     """
     p, q = ctx.p, ctx.q
     qm1 = q - 1
-    step = ctx._mul
-    exp = array("i", [0]) * (2 * qm1)
+    exp = array("i", ctx._powers(g, qm1))
     log = array("i", [0]) * q
-    cur = 1
-    for i in range(qm1):
-        exp[i] = cur
-        log[cur] = i
-        cur = step(cur, g)
-    exp[qm1:] = exp[:qm1]
+    for i, v in enumerate(exp):
+        log[v] = i
+    exp *= 2
     ctx._exp, ctx._log = exp, log
     if ctx.n == 1:
         return

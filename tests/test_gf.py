@@ -163,6 +163,15 @@ def test_is_field_rejects_split_product_of_divisor_degrees():
     assert not gf._is_field(ctx)
 
 
+def test_is_field_rejects_split_product_of_divisor_degrees_odd_p():
+    # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) over GF(3), the same split on the
+    # packed kernel, whose powers stay packed: X^80 = 1 in the ring, and
+    # only the condition at the prime 2 of 4 rejects it
+    ctx = gf.FieldCtx(3, 4, (2, 0, 0, 0, 1))
+    assert ctx._pow(ctx.p, ctx.q - 1) == 1
+    assert not gf._is_field(ctx)
+
+
 def test_rejected_candidates_are_not_cached(monkeypatch):
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     ctx = gf.field_create(3, 6)
@@ -342,6 +351,26 @@ def test_echelon_reduces_to_the_coset_minimum(p, n):
             for v in els:
                 got = [y.v for y in ech.roots(ctx.from_canon(v))]
                 assert got == preimages.get(v, []), (k, a, v)
+
+
+def test_kernel_coset_takes_p_products_per_kernel_vector(monkeypatch):
+    # x^27 - x on an untabled GF(3^6): its kernel is the copy of GF(27),
+    # three basis vectors and a coset of 27 elements
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    ctx = gf.field_create(3, 6)
+    ech = gf.linearized_echelon(ctx.scalar(-1), 3)
+    assert ctx._log is None and len(ech.kernel) == 3
+    calls, mul = [0], ctx._mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(ctx, "_mul", counted)
+    coset = ech.kernel_coset(0)
+    assert calls[0] <= ctx.p * len(ech.kernel)
+    assert coset == sorted(x for x in range(ctx.q)
+                           if gf.frobenius(ctx.from_canon(x), 3) == ctx.from_canon(x))
 
 
 def test_echelon_roots_reject_mixed_fields():

@@ -2,6 +2,8 @@
 
 Each field runs either with its exp/log tables (built by enumerating it)
 or without them, so both kernel families and both root paths are checked.
+The untabled GF(3^30) and GF(5^15) give the packed kernel many slots, and
+so powers that stay packed over long exponents.
 An untabled field comes from a cache private to this module, so a walk of
 the same field by another test cannot table it.
 """
@@ -21,7 +23,7 @@ FIELDS = [
     (2, 1, True), (3, 1, True), (1019, 1, True), (16381, 1, False),
     (2, 8, True), (3, 7, True), (5, 4, True),
     (2, 20, False), (3, 12, False), (1019, 2, False), (23, 2, False),
-    (11, 3, False), (7, 6, False),
+    (11, 3, False), (7, 6, False), (3, 30, False), (5, 15, False),
 ]
 IDS = [f"{p}^{n}{'' if tabled else '-free'}" for p, n, tabled in FIELDS]
 
@@ -58,6 +60,7 @@ def test_ring_operations_match_oracle(p, n, tabled, data):
     assert (-a).coeffs == _digitwise((0,) * n, a.coeffs, p, -1)
     k = data.draw(st.integers(0, 3 * ctx.q))
     assert (a ** k).coeffs == schoolbook_pow(a.coeffs, k, ctx)
+    assert (c ** k).coeffs == schoolbook_pow(c.coeffs, k, ctx)
     if a:
         assert schoolbook_mul(a.coeffs, a.inv().coeffs, ctx) == ctx.one.coeffs
         assert (b / a).coeffs == schoolbook_mul(b.coeffs, a.inv().coeffs, ctx)
@@ -85,6 +88,18 @@ def test_roots_match_oracle(p, n, tabled, data):
     assert [x.canon for x in roots] == sorted({x.canon for x in roots})
     for x in roots:
         assert schoolbook_pow(x.coeffs, m, ctx) == e.coeffs
+
+
+@pytest.mark.parametrize("p,n", [(1019, 1), (2, 8), (3, 7)],
+                         ids=["prime", "binary", "packed"])
+def test_powers_are_the_iterated_products(p, n):
+    ctx = _field(p, n, False)
+    for g in (gf.generator(ctx).v, p - 1, ctx.q - 2):
+        want, cur = [], 1
+        for _ in range(300):
+            want.append(cur)
+            cur = ctx._mul(cur, g)
+        assert list(ctx._powers(g, 300)) == want
 
 
 def test_hash_agrees_with_int_equality():
