@@ -130,6 +130,10 @@ class CurveIsomorphism:
         """Canonical sort key: parameter coefficient vectors as integers."""
         return (self.u.canon, self.r.canon, self.s.canon, self.t.canon)
 
+    def _packed_key(self):
+        """The parameters' packed values, which order as `param_key` does."""
+        return (self.u.v, self.r.v, self.s.v, self.t.v)
+
     def is_identity(self):
         return (
             self.u == self.field.one
@@ -149,7 +153,7 @@ class CurveIsomorphism:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.n) + self.param_key())
+        return hash((self.field.p, self.field.n) + self._packed_key())
 
     def __repr__(self):
         return f"CurveIsomorphism{isomorphism_to_str(self)}"
@@ -358,9 +362,13 @@ def find_isomorphisms(E1, E2, field):
     if E1.j_invariant() != E2.j_invariant():
         return []
     S = E1.base_change(field)
-    T = E2.base_change(field)
     red1 = reduction_isomorphism(S)
-    red2_inv = invert(reduction_isomorphism(T))
+    if E2 is E1:  # an automorphism search reduces the curve once
+        T, red2 = S, red1
+    else:
+        T = E2.base_change(field)
+        red2 = reduction_isomorphism(T)
+    red2_inv = invert(red2)
     isos = [
         CurveIsomorphism._derived(
             field, S, T,
@@ -368,7 +376,7 @@ def find_isomorphisms(E1, E2, field):
         )
         for core in _reduced_isomorphisms(red1.target, red2_inv.source)
     ]
-    isos.sort(key=CurveIsomorphism.param_key)
+    isos.sort(key=CurveIsomorphism._packed_key)
     return isos
 
 
@@ -424,7 +432,8 @@ def _unit_order(p, j):
 class AutGroup:
     """The automorphism group of a curve over its minimal field of definition.
 
-    `index` maps each element's `param_key` to its position in `elements`.
+    `index` maps the packed values of each element's parameters to its
+    position in `elements`.
     `generators` are the indices of the group's generators g_0..g_{k-1},
     and `walk` lists every element e but the identity as (e, parent, j)
     with e = parent o g_j, each parent before the elements it leads to.
@@ -453,11 +462,17 @@ class AutGroup:
 
     def index_of(self, f):
         """Index of an automorphism with the same parameters, or None."""
-        return self._index.get(f.param_key())
+        return self._index.get(f._packed_key())
+
+    def index_of_params(self, params):
+        """Index of the automorphism with parameters (u, r, s, t), or None."""
+        return self._index.get(tuple(x.v for x in params))
 
     def index_of_key(self, key):
         """Index of the automorphism whose `param_key` is key, or None."""
-        return self._index.get(key)
+        if not all(0 <= k < self.field.q for k in key):
+            return None
+        return self.index_of_params([self.field.from_canon(k) for k in key])
 
     def element_order(self, i):
         return len(_subgroup_closure(self.cayley, (i,)))
@@ -505,7 +520,7 @@ def automorphism_group(E):
         raise _fault(E, E.ctx, "automorphism group",
                      f"automorphism search found {len(elements)} of {target} elements")
     params = [f.params for f in elements]
-    index = {f.param_key(): i for i, f in enumerate(elements)}
+    index = {f._packed_key(): i for i, f in enumerate(elements)}
     n = len(params)
     # walk lists the elements as (e, parent, j) in the order reached from
     # the identity, e = parent o generators[j]; products[j] holds x o g_j
@@ -514,7 +529,7 @@ def automorphism_group(E):
         g = next(i for i in range(n) if i not in reached)
         times_g = []
         for a in params:
-            k = index.get(tuple(x.canon for x in _compose_params(a, params[g])))
+            k = index.get(tuple(x.v for x in _compose_params(a, params[g])))
             if k is None:
                 raise _fault(E, field, "automorphism group",
                              "automorphism set is not closed under composition")

@@ -159,13 +159,12 @@ def _resolve_subgroup(action, text):
         p_str, _, m_str = field_lit.partition("^")
         field = gf.field_create(int(p_str), int(m_str) if m_str else 1)
         params = _parse_elements(body[1:-1], field, 4)
-        key = tuple(e.canon for e in params)
         group = action.group
         if field != group.field:
             raise UsageError(
                 f"generator field {field} is not the group field {group.field}"
             )
-        index = group.index_of_key(key)
+        index = group.index_of_params(params)
         if index is None:
             raise UsageError(f"{text} is not an automorphism of the curve")
         return twistcoh.cyclic_subgroup(action, group.elements[index])

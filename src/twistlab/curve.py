@@ -44,7 +44,7 @@ class WeierstrassCurve:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n) + tuple(a.canon for a in self.coefficients))
+        return hash((self.ctx.p, self.ctx.n) + tuple(a.v for a in self.coefficients))
 
     def __repr__(self):
         names = ("a1", "a2", "a3", "a4", "a6")
@@ -140,11 +140,11 @@ class WeierstrassCurve:
         """#E(F_q), the point at infinity included (cached).
 
         N = 1 + (the number of y at each x, summed over x), which is q + 1
-        plus a character sum, computed on canonical ints with the field's
-        kernels: no point and no `FieldElem` is built.  It walks the q
-        values of x, so it is held to the working limit like
-        `gf.enumerate_field`, and the first walk of a field builds its
-        tables.
+        plus a character sum, computed on canonical ints with the kernels
+        that read the field's tables (`_walk_kernels`): no point and no
+        `FieldElem` is built.  It walks the q values of x, so it is held
+        to the working limit like `gf.enumerate_field`, and the first walk
+        of a field builds its tables.
 
         - Odd p: (2y + a1*x + a3)^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so x
           has 1 + chi(right side) values of y, chi the quadratic
@@ -185,11 +185,11 @@ def _quadratic_character_sum(E):
     ctx = E.ctx
     p, q, log = ctx.p, ctx.q, ctx._log
     b2, b4, b6, _ = E.b_invariants()
-    c3, c2, c1, c0 = 4 % p, b2.v, (2 * b4).v, b6.v
+    c3, c2, c1, c0 = 4 % p, b2.canon, (2 * b4).canon, b6.canon
     if ctx.n == 1:
         values = ((((c3 * x + c2) * x + c1) * x + c0) % p for x in range(p))
     else:
-        mul, add = ctx._mul, ctx._add
+        mul, add, _ = ctx._walk_kernels
         values = (add(mul(add(mul(add(mul(c3, x), c2), x), c1), x), c0)
                   for x in range(q))
     odd = zeros = 0
@@ -205,8 +205,8 @@ def _trace_character_sum(E):
     """Sum over x with alpha = a1*x + a3 nonzero of (-1)^Tr(rhs / alpha^2):
     p = 2, tabled field."""
     ctx = E.ctx
-    mul, add, inv, form = ctx._mul, ctx._add, ctx._inv, gf._trace_form(ctx)
-    a1, a2, a3, a4, a6 = (a.v for a in E.coefficients)
+    (mul, add, inv), form = ctx._walk_kernels, gf._trace_form(ctx)
+    a1, a2, a3, a4, a6 = (a.canon for a in E.coefficients)
     units = odd = 0
     for x in range(ctx.q):
         alpha = add(mul(a1, x), a3)

@@ -1,14 +1,22 @@
 """Exact arithmetic in small finite fields GF(p^n).
 
-Encoding.  An element is stored as one int, its canonical index: the
-coefficient vector over GF(p) in a fixed polynomial basis (ascending
-powers) read as a base-p integer.  The canonical order on elements is
-that index; "smallest" always means smallest in that order, and
-`FieldElem.coeffs` derives the vector from it.  The modulus for each
-(p, n) is the lexicographically smallest monic irreducible polynomial of
-degree n (coefficient vector read as a base-p integer), so construction
-is deterministic, and `field_create` caches one context per (p, n): a
-field is identified by its context object.
+Encoding.  An element's canonical index is its coefficient vector over
+GF(p) in a fixed polynomial basis (ascending powers) read as a base-p
+integer.  The canonical order on elements is that index; "smallest"
+always means smallest in that order.  The modulus for each (p, n) is the
+lexicographically smallest monic irreducible polynomial of degree n
+(coefficient vector read as a base-p integer), so construction is
+deterministic, and `field_create` caches one context per (p, n): a field
+is identified by its context object.
+
+A `FieldElem` stores one int `v`, its packed value.  In a prime field
+that is the residue itself.  For n > 1 it is the Kronecker-packed
+vector: digit i in the bit slot i of w bits, so `v` is the vector read
+in radix 2^w (`FieldCtx._radix`).  Digits are below p < 2^w, so packed
+values order, and compare, exactly as canonical indices do; a constant
+packs to itself.  Canonical ints appear only at the boundary: `canon`,
+`from_canon`, `coeffs` and the text format, `generator`'s scan, the
+exp/log tables and the walks that read them.
 
 Modulus.  `field_create` walks the monic candidates with a nonzero
 constant term in that order.  Each candidate gets a context of its own,
@@ -16,36 +24,32 @@ with the kernels below, and `_is_field` runs Rabin's irreducibility test
 in GF(p)[x]/(f) on those kernels; the first candidate that passes keeps
 its context, and no other candidate is cached.
 
-Kernels.  Each context carries int-level kernels chosen by its kind
-(they live in `twistlab.gfkernels`):
+Kernels.  Each context carries int-level kernels on packed values,
+chosen by its kind (they live in `twistlab.gfkernels`):
 
 - prime fields: native int arithmetic mod p, with the built-in `pow` for
   powers, inverses and Euler's criterion;
-- p = 2, n > 1: addition is XOR, and the product is a shift-and-XOR
-  carry-less multiply reduced by the modulus;
-- odd p, n > 1: Kronecker substitution for products.  The digit vectors
-  are packed into wide bit slots, multiplied as one int, folded by the
-  modulus and reduced mod p in every slot at once.  A reduced product is
-  packed again, so a power packs its base once and unpacks once, however
-  many squarings it takes.  Sums and differences go digit by digit,
-  several digits per step through small tables when p <= 7.
+- n > 1, any p: Kronecker substitution (Harvey, J. Symbolic Comput. 44,
+  2009).  A product is one int multiply, a fold by the modulus and a
+  reduction of every slot at once (a mask for p = 2); a sum is one
+  slot-wise add (XOR for p = 2); a power squares and multiplies on
+  packed ints and is never unpacked.
 
 Tables.  Following the lookup-table design of the `galois` library
 (https://github.com/mhostetter/galois), the first walk of a whole field,
 an O(q) cost its caller pays anyway (a point count, `enumerate_field`
 for the oracles of the tests), builds exp and log tables over the
-canonical generator, stored as compact arrays, plus Zech logs when p is
-odd and n > 1.  The exp table is the context's `_powers` walk of the
-generator, which on the packed kernel keeps the running power packed.
-From then on products, inverses and powers in GF(p^n), n > 1, are table
-lookups, odd-p sums go through the Zech logs, and the discrete log reads
-the log table; `is_square` (one power) and `sqrt` and `nth_roots` (one
-discrete log) reach the tables only through these.  Only
-`enumerate_field` also builds the list of every element as a
-`FieldElem`; a point count reads canonical ints and never does.  Fields
-used only for roots, linear algebra and embeddings are never tabled;
-their discrete logs use Pohlig-Hellman.  Importing the module creates no
-field and builds no table.
+canonical generator, stored as compact arrays indexed by canonical ints,
+plus Zech logs when p is odd and n > 1.  The exp table is the context's
+`_powers` walk of the generator, which keeps the running power packed.
+The tables serve the point-count walks, through the canonical kernels
+`_walk_kernels`, and the discrete log; they never replace the element
+kernels, so an element's `v` keeps its meaning.  Only `enumerate_field`
+also builds the list of every element as a `FieldElem`; a point count
+reads canonical ints and never does.  Fields used only for roots,
+linear algebra and embeddings are never tabled; their discrete logs use
+Pohlig-Hellman.  Importing the module creates no field and builds no
+table.
 
 Limit.  The working limit is the most elements one step may walk; the
 size of a field is not limited.  Three steps walk: a whole field
@@ -134,7 +138,7 @@ def _is_field(ctx):
     reducible candidates with a single power.
     """
     p, n, qm1, power = ctx.p, ctx.n, ctx.q - 1, ctx._pow
-    x = p  # the canonical int of the class of x
+    x = ctx._radix  # the packed value of the class of x
     if power(x, qm1) != 1:
         return False
     return all(
@@ -207,16 +211,21 @@ class FieldCtx:
     `field_create` keeps one context per (p, n), so contexts compare by
     identity; the candidate contexts it tests and rejects are discarded.
     `_add`, `_sub`, `_neg`, `_mul`, `_inv` and `_pow` are the field's
-    kernels on canonical ints; `_pow` takes a nonzero base and an exponent
-    already reduced mod q - 1.  `_powers(g, count)` yields g^0, ...,
-    g^(count - 1), the walk that builds the exp table.
+    element kernels, on packed values; `_pow` takes a nonzero base and an
+    exponent already reduced mod q - 1.  `_radix` is the radix of the
+    packed digits (p itself for a prime field), and `_pack` and `_unpack`
+    convert canonical ints to packed values and back.  `_powers(g, count)`
+    yields g^0, ..., g^(count - 1) as canonical ints, the walk that builds
+    the exp table.  A walk of the whole field adds `_exp`, `_log` and
+    `_walk_kernels` (`gfkernels.table_kernels`); `_dlog_steps` keeps the
+    baby-step table of each prime `_subgroup_log` has met.
     """
 
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
-        "_generator", "_unit_factors", "_embed_cache", "_exp", "_log",
-        "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
-        "_powers",
+        "_generator", "_unit_factors", "_embed_cache", "_dlog_steps", "_exp",
+        "_log", "_walk_kernels", "_trace_form", "_add", "_sub", "_neg",
+        "_mul", "_inv", "_pow", "_radix", "_pack", "_unpack", "_powers",
     )
 
     def __init__(self, p, n, modulus):
@@ -230,13 +239,13 @@ class FieldCtx:
         self._generator = None
         self._unit_factors = None
         self._embed_cache = {}
+        self._dlog_steps = {}
         self._exp = None
         self._log = None
+        self._walk_kernels = None
         self._trace_form = None
         if n == 1:
             gfkernels.prime_kernels(self)
-        elif p == 2:
-            gfkernels.binary_kernels(self)
         else:
             gfkernels.packed_kernels(self)
 
@@ -255,7 +264,7 @@ class FieldCtx:
         """The basis generator (the class of x); equals 1 when n == 1."""
         if self.n == 1:
             return self._one
-        return FieldElem(self, self.p)
+        return FieldElem(self, self._radix)
 
     def scalar(self, k):
         """The constant k mod p as a field element."""
@@ -272,21 +281,23 @@ class FieldCtx:
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.n:
             raise ValueError(f"need {self.n} coefficients for {self}, got {len(coeffs)}")
-        return FieldElem(self, _from_digits(coeffs, self.p))
+        return FieldElem(self, _from_digits(coeffs, self._radix))
 
     def from_canon(self, k):
         """Element whose coefficient vector is the base-p expansion of k."""
         if not 0 <= k < self.q:
             raise ValueError(f"canonical index {k} out of range for {self}")
-        return FieldElem(self, k)
+        return FieldElem(self, self._pack(k))
 
 
 class FieldElem:
-    """An element of a FieldCtx, stored as its canonical index `v`.
+    """An element of a FieldCtx, stored as its packed value `v`.
 
-    Equal to an int k when it is the constant k mod p, so ints outside
-    [0, p) compare after reduction mod p; the hash is that of the index,
-    so an element and an int in [0, p) that compare equal hash alike.
+    Packed values order as canonical indices do, and a constant packs to
+    itself.  So an element equals an int k when it is the constant k mod
+    p, ints outside [0, p) compare after reduction mod p, and the hash,
+    that of `v`, is the same for an element and an int in [0, p) that
+    compare equal.
     """
 
     __slots__ = ("ctx", "v")
@@ -298,12 +309,12 @@ class FieldElem:
     @property
     def canon(self):
         """Coefficient vector read as a base-p integer (the canonical order)."""
-        return self.v
+        return self.ctx._unpack(self.v)
 
     @property
     def coeffs(self):
         """Coefficient vector over GF(p), ascending powers."""
-        return _digits(self.v, self.ctx.p, self.ctx.n)
+        return _digits(self.v, self.ctx._radix, self.ctx.n)
 
     def is_zero(self):
         return not self.v
@@ -312,7 +323,7 @@ class FieldElem:
         return self.v != 0
 
     def _coerce(self, other):
-        """Canonical index of `other` in this field, or None if not a field value.
+        """Packed value of `other` in this field, or None if not a field value.
 
         The operators test the common case, an element of the same field,
         inline before calling this.
@@ -436,7 +447,7 @@ def enumerate_field(ctx):
     """
     _walk_tables(ctx)
     if ctx._elements is None:
-        ctx._elements = [FieldElem(ctx, k) for k in range(ctx.q)]
+        ctx._elements = [FieldElem(ctx, v) for v in map(ctx._pack, range(ctx.q))]
     return list(ctx._elements)
 
 
@@ -454,9 +465,10 @@ def generator(ctx):
     qm1 = ctx.q - 1
     exponents = [qm1 // ell for ell in ctx._unit_factors]
     power = ctx._pow
-    for k in range(ctx.p if ctx.n > 1 else 1, ctx.q):  # constants have order | p - 1
-        if all(power(k, x) != 1 for x in exponents):
-            ctx._generator = FieldElem(ctx, k)
+    # constants have order | p - 1
+    for v in map(ctx._pack, range(ctx.p if ctx.n > 1 else 1, ctx.q)):
+        if all(power(v, x) != 1 for x in exponents):
+            ctx._generator = FieldElem(ctx, v)
             return ctx._generator
     raise RuntimeError(f"no generator found in {ctx}")  # unreachable
 
@@ -473,37 +485,43 @@ def _dlog(e):
     if e.is_zero():
         raise ZeroDivisionError(f"discrete log of zero in {ctx}")
     if ctx._log is not None:
-        return ctx._log[e.v]
+        return ctx._log[e.canon]
     qm1, power, mul = ctx.q - 1, ctx._pow, ctx._mul
     g, x = generator(ctx).v, 0
     for ell, k in ctx._unit_factors.items():
-        gamma, x_ell = power(g, qm1 // ell), 0  # gamma has order ell
+        x_ell = 0
         for j in range(k):  # x_ell is the log mod ell^j
             c = qm1 // ell ** (j + 1)
             h = mul(power(e.v, c), power(g, -x_ell * c % qm1))
-            x_ell += _subgroup_log(ctx, gamma, h, ell) * ell**j
+            x_ell += _subgroup_log(ctx, h, ell) * ell**j
         cofactor = qm1 // ell**k
         x += x_ell * cofactor * pow(cofactor, -1, ell**k)
     return x % qm1
 
 
-def _subgroup_log(ctx, gamma, h, ell):
-    """The d in [0, ell) with gamma^d == h for gamma of prime order ell.
+def _subgroup_log(ctx, h, ell):
+    """The d in [0, ell) with gamma^d == h, for gamma = g^((q-1)/ell) of
+    prime order ell and g the canonical generator.
 
     0 at once when h == 1, with no table built: a log of an element whose
     order is prime to ell, such as the 1 of every automorphism search's
-    `nth_roots(1, m)`, is then free.  Otherwise baby-step giant-step: at
-    most m ~ sqrt(ell) steps of each kind.
+    `nth_roots(1, m)`, is then free.  Otherwise baby-step giant-step: the
+    m ~ sqrt(ell) baby steps are taken once per field and ell and kept in
+    `ctx._dlog_steps`, and each log takes at most m giant steps.
     """
     if h == 1:
         return 0
     mul = ctx._mul
-    m = math.isqrt(ell - 1) + 1
-    baby, acc = {}, 1
-    for j in range(m):
-        baby.setdefault(acc, j)
-        acc = mul(acc, gamma)
-    step = ctx._inv(acc)  # gamma^-m
+    steps = ctx._dlog_steps.get(ell)
+    if steps is None:
+        gamma = ctx._pow(generator(ctx).v, (ctx.q - 1) // ell)
+        m = math.isqrt(ell - 1) + 1
+        baby, acc = {}, 1
+        for j in range(m):
+            baby.setdefault(acc, j)
+            acc = mul(acc, gamma)
+        steps = ctx._dlog_steps[ell] = m, baby, ctx._inv(acc)  # gamma^-m
+    m, baby, step = steps
     for i in range(m):
         j = baby.get(h)
         if j is not None:
@@ -550,24 +568,24 @@ def sqrt(e):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)-linear maps of a field to itself, on canonical ints
+# GF(p)-linear maps of a field to itself, on packed values
 
 class Echelon:
     """Row echelon form of a GF(p)-linear map f from a field to itself.
 
     Built from the images of the basis elements x^i.  Each row's image
-    leads with digit 1 at its pivot weight p^i, where i is the position of
-    its most significant nonzero base-p digit; no two rows share a pivot.
-    A row keeps d times its image and a preimage for every digit d, so
-    reducing by it takes no product.  `kernel` is a GF(p) basis of f's
-    kernel.
+    leads with digit 1 at its pivot weight R^i, where R is the field's
+    `_radix` and i the slot of its most significant nonzero digit; no two
+    rows share a pivot.  A row keeps d times its image and a preimage for
+    every digit d, so reducing by it takes no product.  `kernel` is a
+    GF(p) basis of f's kernel.
     """
 
     __slots__ = ("ctx", "rows", "kernel")
 
     def __init__(self, ctx, images):
         p, mul, sub = ctx.p, ctx._mul, ctx._sub
-        weights = [p**i for i in range(ctx.n)]
+        weights = [ctx._radix**i for i in range(ctx.n)]
         pivots = {}
         self.ctx, self.kernel = ctx, []
         for pre, img in zip(weights, images):  # img is f(pre) throughout
@@ -594,9 +612,9 @@ class Echelon:
         zero at all pivots is its least.
         """
         ctx = self.ctx
-        p, add, sub, x = ctx.p, ctx._add, ctx._sub, 0
+        radix, add, sub, x = ctx._radix, ctx._add, ctx._sub, 0
         for w, imgs, pres in self.rows:
-            d = v // w % p
+            d = v // w % radix
             if d:
                 v = sub(v, imgs[d])
                 x = add(x, pres[d])
@@ -627,8 +645,9 @@ class Echelon:
 
         These are the elements whose digits vanish at every pivot.
         """
-        p, pivots, out = self.ctx.p, {row[0] for row in self.rows}, [0]
-        for w in (p**i for i in range(self.ctx.n)):
+        ctx, pivots, out = self.ctx, {row[0] for row in self.rows}, [0]
+        p = ctx.p
+        for w in (ctx._radix**i for i in range(ctx.n)):
             if w not in pivots:  # every earlier element is below w
                 out = [y + d * w for d in range(p) for y in out]
         return out
@@ -637,7 +656,7 @@ class Echelon:
 def linearized_echelon(a, k=1):
     """The `Echelon` of x |-> x^(p^k) + a*x on a's field."""
     ctx = a.ctx
-    basis = (FieldElem(ctx, ctx.p**i) for i in range(ctx.n))
+    basis = (FieldElem(ctx, ctx._radix**i) for i in range(ctx.n))
     return Echelon(ctx, [(frobenius(b, k) + a * b).v for b in basis])
 
 
@@ -645,7 +664,7 @@ def linearized_roots(a, rhs, k=1):
     """All x in the field with x^(p^k) + a*x == rhs, ascending.
 
     The left side is GF(p)-linear in x, so this is exact linear algebra on
-    canonical ints; it works at any field size in scope.  A caller that
+    packed values; it works at any field size in scope.  A caller that
     solves with one (a, k) for several right sides builds
     `linearized_echelon(a, k)` once and calls its `roots`.
     """
@@ -679,7 +698,7 @@ def absolute_trace(e):
     the parity of the bits e shares with it.
     """
     ctx = e.ctx
-    p, v, form = ctx.p, e.v, _trace_form(ctx)
+    p, v, form = ctx.p, e.canon, _trace_form(ctx)
     if p == 2:
         return (v & form).bit_count() & 1
     acc = 0

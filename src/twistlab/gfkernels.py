@@ -1,11 +1,13 @@
-"""Kernels on canonical ints behind `twistlab.gf`, one set per kind of field.
+"""Kernels behind `twistlab.gf`, one set per kind of field.
 
-Each `*_kernels(ctx)` function fills a context's `_add`, `_sub`, `_neg`,
-`_mul`, `_inv`, `_pow` and `_powers` (see `gf.FieldCtx`).  `table_kernels`
-builds a field's exp/log tables from `_powers` once it has been enumerated
-and, for n > 1, moves its products, inverses and powers onto lookups.  The
-module docstring of `twistlab.gf` describes the encoding and when each set
-is used.
+Each `*_kernels(ctx)` function fills a context's element kernels `_add`,
+`_sub`, `_neg`, `_mul`, `_inv` and `_pow`, which work on the values that
+`FieldElem`s store, and its encoding: `_radix`, `_pack`, `_unpack` and
+the exp walk `_powers` (see `gf.FieldCtx`).  `table_kernels` builds a
+field's exp/log tables from `_powers` once it has been enumerated, with
+kernels on canonical ints for the walks that read them; it leaves the
+element kernels alone.  The module docstring of `twistlab.gf` describes
+the encoding and when each set is used.
 """
 
 from array import array
@@ -24,71 +26,44 @@ def _square_and_multiply(mul):
     return power
 
 
-def _iterated_powers(mul):
+def prime_kernels(ctx):
+    """Native int arithmetic mod p; an element is its residue."""
+    p = ctx.p
+    ctx._radix, ctx._pack, ctx._unpack = p, int, int
+    ctx._add = lambda a, b: (a + b) % p
+    ctx._sub = lambda a, b: (a - b) % p
+    ctx._neg = lambda a: -a % p
+    ctx._mul = mul = lambda a, b: a * b % p
+    ctx._inv = lambda a: pow(a, -1, p)
+    ctx._pow = lambda a, e: pow(a, e, p)
+
     def powers(g, count):
         cur = 1
         for _ in range(count):
             yield cur
             cur = mul(cur, g)
-    return powers
 
-
-def prime_kernels(ctx):
-    p = ctx.p
-    ctx._add = lambda a, b: (a + b) % p
-    ctx._sub = lambda a, b: (a - b) % p
-    ctx._neg = lambda a: -a % p
-    ctx._mul = lambda a, b: a * b % p
-    ctx._inv = lambda a: pow(a, -1, p)
-    ctx._pow = lambda a, e: pow(a, e, p)
-    ctx._powers = _iterated_powers(ctx._mul)
-
-
-def binary_kernels(ctx):
-    n = ctx.n
-    reduce_by = sum(c << i for i, c in enumerate(ctx.modulus))
-    top = 1 << n
-
-    def mul(a, b):
-        if a < b:
-            a, b = b, a
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= reduce_by
-        return r
-
-    power = _square_and_multiply(mul)
-    qm2 = ctx.q - 2
-    ctx._add = ctx._sub = int.__xor__
-    ctx._neg = lambda a: a
-    ctx._mul = mul
-    ctx._inv = lambda a: power(a, qm2)
-    ctx._pow = power
-    ctx._powers = _iterated_powers(mul)
+    ctx._powers = powers
 
 
 def packed_kernels(ctx):
-    """Kronecker-substitution kernels for odd p and n > 1.
+    """Kronecker-substitution kernels for n > 1, p = 2 and odd p alike.
 
-    An element's digits go into slots of w bits.  A product of two packed
-    elements holds the product polynomial's coefficients slot by slot;
-    folding its high slots by g, where x^n = g(x) mod the modulus, brings
-    it down to n slots.  Every slot stays below 2^h, which sets w so that
-    one multiplication by m = ceil(2^k / p) and a shift by k give each
-    slot's quotient by p without spilling into its neighbours.  Chunks of
-    c digits move between the canonical int and the packed form through
-    two p^c-entry lookups.  Sums and differences skip the packing and go
-    digit by digit (`_digitwise_kernels`).
+    An element is its packed int: digit i in the slot of w bits at bit
+    w*i.  A product of two packed elements is one int multiply, which
+    holds the product polynomial's coefficients slot by slot; folding its
+    high slots by g, where x^n = g(x) mod the modulus, brings it down to
+    n slots, every slot below 2^h.  Then every slot is reduced mod p at
+    once.  For p = 2 that is a mask of each slot's low bit.  For odd p,
+    w is wide enough that one multiplication by m = ceil(2^k / p) and a
+    shift by k give each slot's quotient by p without spilling into its
+    neighbours.  A sum is one slot-wise add and the same reduction (XOR
+    for p = 2); a difference adds p to every slot first.  A constant
+    packs to itself, and a constant base takes the built-in `pow`.
 
-    A reduced product is again a packed element, so a power packs its
-    base once, squares and multiplies on packed ints, and unpacks once;
-    `_powers` keeps the running power packed and unpacks each entry.  A
-    constant base stays in GF(p) and takes the built-in `pow`.
+    `_pack` and `_unpack` convert canonical ints, c digits at a time
+    through two p^c-entry lookups built on first use; `_powers` keeps the
+    running power packed and unpacks each entry for the exp table.
     """
     p, n = ctx.p, ctx.n
     g = [(-c) % p for c in ctx.modulus[:n]]
@@ -99,27 +74,59 @@ def packed_kernels(ctx):
         top += deg_g - n
     h = bound.bit_length()
     k = h + p.bit_length()
-    w = k + h + 1
-    m = -(-(1 << k) // p)
+    w = h if p == 2 else k + h + 1
     ones = sum(1 << (w * i) for i in range(n))
-    quotient_mask = ((1 << h) - 1) * ones
     low_bits = w * n
     low_mask = (1 << low_bits) - 1
     folded = sum(c << (w * i) for i, c in enumerate(g))
+
+    m = -(-(1 << k) // p)
+    quotient_mask = ((1 << h) - 1) * ones
+
+    def reduce(s):
+        """Every slot (each below 2^h) mod p, for odd p."""
+        return s - (((s * m) >> k) & quotient_mask) * p
+
+    def mul(s, t):
+        s *= t
+        high = s >> low_bits
+        while high:
+            s = (s & low_mask) + high * folded
+            high = s >> low_bits
+        if p == 2:  # each slot's low bit
+            return s & ones
+        # reduce(s), written out: a call would cost about a tenth of a product
+        return s - (((s * m) >> k) & quotient_mask) * p
+
+    power = _square_and_multiply(mul)
+
+    def pow_(a, e):
+        if a < p:
+            return pow(a, e, p)
+        return power(a, e)
+
     c = 1
     while c < n and p ** (c + 1) <= 256:
         c += 1
     chunk, chunk_bits = p**c, w * c
     chunk_mask = (1 << chunk_bits) - 1
-    if c == 1:
-        spread = gather = range(p)
-    else:
+    spread = gather = None
+
+    def build_tables():
+        """spread[d] is the chunk of c digits d packed, gather its inverse.
+        Built on first use: a rejected modulus candidate never converts."""
+        nonlocal spread, gather
+        if c == 1:  # a digit packs to itself, and p may be large
+            spread = gather = range(p)
+            return
         spread = [0]
         for i in range(c):
             spread = [s + (d << (w * i)) for d in range(p) for s in spread]
         gather = {s: v for v, s in enumerate(spread)}
 
     def pack(v):
+        if spread is None:
+            build_tables()
         s, shift = 0, 0
         while v:
             v, d = divmod(v, chunk)
@@ -128,7 +135,8 @@ def packed_kernels(ctx):
         return s
 
     def unpack(s):
-        """The canonical int of a packed element whose slots are below p."""
+        if gather is None:
+            build_tables()
         v, place = 0, 1
         while s:
             v += gather[s & chunk_mask] * place
@@ -136,119 +144,37 @@ def packed_kernels(ctx):
             place *= chunk
         return v
 
-    def product(s, t):
-        """The packed product of two packed elements: fold, then every slot
-        (each below 2^h) mod p."""
-        s *= t
-        while s >> low_bits:
-            s = (s & low_mask) + (s >> low_bits) * folded
-        return s - (((s * m) >> k) & quotient_mask) * p
-
-    def mul(a, b):
-        if a < p:  # a constant packs to itself
-            return unpack(product(pack(b), a))
-        return unpack(product(pack(a), b if b < p else pack(b)))
-
-    packed_power = _square_and_multiply(product)
-
-    def power(a, e):
-        if a < p:
-            return pow(a, e, p)
-        return unpack(packed_power(pack(a), e))
-
     def powers(g, count):
-        s, t = 1, pack(g)
+        s = 1
         for _ in range(count):
             yield unpack(s)
-            s = product(s, t)
+            s = mul(s, g)
 
     qm2 = ctx.q - 2
-    add, sub = _digitwise_kernels(p)
-    ctx._add, ctx._sub = add, sub
-    ctx._neg = lambda a: sub(0, a)
+    if p == 2:
+        ctx._add = ctx._sub = int.__xor__
+        ctx._neg = lambda a: a
+    else:
+        p_ones = p * ones
+        ctx._add = lambda a, b: reduce(a + b)
+        ctx._sub = lambda a, b: reduce(a + p_ones - b)
+        ctx._neg = lambda a: reduce(p_ones - a)
     ctx._mul = mul
     ctx._inv = lambda a: power(a, qm2)
-    ctx._pow = power
+    ctx._pow = pow_
+    ctx._radix, ctx._pack, ctx._unpack = 1 << w, pack, unpack
     ctx._powers = powers
 
 
-_DIGITWISE = {}
-
-
-def _digitwise_kernels(p):
-    """Digit-wise sum and difference of canonical ints over GF(p), per p.
-
-    For p <= 7 the digits go c >= 2 at a time (P = p^c, P^2 <= 4096)
-    through one P^2-entry table for sums and one for differences; larger
-    p go one digit at a time.  The kernels do not depend on n, so every
-    GF(p^n) shares them.
-    """
-    kernels = _DIGITWISE.get(p)
-    if kernels is not None:
-        return kernels
-    c = 1
-    while p ** (2 * c + 2) <= 4096:
-        c += 1
-    if c == 1:
-        def add(a, b):
-            r, place = 0, 1
-            while a or b:
-                d = a % p + b % p
-                r += (d - p if d >= p else d) * place
-                a //= p
-                b //= p
-                place *= p
-            return r
-
-        def sub(a, b):
-            r, place = 0, 1
-            while a or b:
-                d = a % p - b % p
-                r += (d + p if d < 0 else d) * place
-                a //= p
-                b //= p
-                place *= p
-            return r
-    else:
-        P = p**c
-        add = _chunk_op(_digit_table(p, c, 1), P)
-        sub = _chunk_op(_digit_table(p, c, -1), P)
-    _DIGITWISE[p] = add, sub
-    return add, sub
-
-
-def _digit_table(p, c, sign):
-    """t[x * p^c + y] = digit-wise x + sign * y mod p, for c-digit x and y."""
-    table, size = [0], 1
-    for _ in range(c):
-        # the new lowest digits (xl, yl) go under the previous table's (xh, yh)
-        table = [(xl + sign * yl) % p + p * table[xh * size + yh]
-                 for xh in range(size) for xl in range(p)
-                 for yh in range(size) for yl in range(p)]
-        size *= p
-    return table
-
-
-def _chunk_op(table, P):
-    def op(a, b):
-        r, place = 0, 1
-        while a or b:
-            r += table[a % P * P + b % P] * place
-            a //= P
-            b //= P
-            place *= P
-        return r
-    return op
-
-
 def table_kernels(ctx, g):
-    """Exp/log tables over the generator g, and the table kernels.
+    """Exp/log tables over the generator g (an element value), and the
+    kernels on canonical ints that read them.
 
-    exp is read off the context's own `_powers(g, q - 1)`, then repeated
+    exp is read off the context's `_powers(g, q - 1)`, then repeated
     once: it has 2(q - 1) entries, so a sum of two logs needs no
-    reduction.  Prime fields keep their native kernels and use the tables
-    for roots.  For odd p, sums, differences and negation go through Zech
-    logs.
+    reduction.  `_walk_kernels` is (mul, add, inv) on canonical ints:
+    the native kernels for prime fields; lookups for n > 1, with XOR as
+    the sum for p = 2 and Zech logs for odd p.
     """
     p, q = ctx.p, ctx.q
     qm1 = q - 1
@@ -259,6 +185,7 @@ def table_kernels(ctx, g):
     exp *= 2
     ctx._exp, ctx._log = exp, log
     if ctx.n == 1:
+        ctx._walk_kernels = ctx._mul, ctx._add, ctx._inv
         return
 
     def mul(a, b):
@@ -266,10 +193,11 @@ def table_kernels(ctx, g):
             return exp[log[a] + log[b]]
         return 0
 
-    ctx._mul = mul
-    ctx._inv = lambda a: exp[qm1 - log[a]]
-    ctx._pow = lambda a, e: exp[log[a] * e % qm1]
+    def inv(a):
+        return exp[qm1 - log[a]]
+
     if p == 2:
+        ctx._walk_kernels = mul, int.__xor__, inv
         return
     # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0
     zech = array("i", [0]) * qm1
@@ -277,26 +205,14 @@ def table_kernels(ctx, g):
         v = exp[i]
         v = v + 1 if v % p != p - 1 else v - (p - 1)
         zech[i] = log[v] if v else -1
-    half = qm1 // 2
-
-    def add_logs(la, lb):
-        z = zech[(lb - la) % qm1]
-        return exp[la + z] if z >= 0 else 0
 
     def add(a, b):
         if not a:
             return b
         if not b:
             return a
-        return add_logs(log[a], log[b])
+        la = log[a]
+        z = zech[(log[b] - la) % qm1]
+        return exp[la + z] if z >= 0 else 0
 
-    def sub(a, b):
-        if not b:
-            return a
-        if not a:
-            return exp[log[b] + half]
-        return add_logs(log[a], log[b] + half)
-
-    ctx._add = add
-    ctx._sub = sub
-    ctx._neg = lambda a: exp[log[a] + half] if a else 0
+    ctx._walk_kernels = mul, add, inv

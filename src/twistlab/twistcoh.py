@@ -158,7 +158,7 @@ def frobenius_action(G, base):
         raise ValueError("curves are not defined over the declared base field")
     images = []
     for g in G.generators:
-        k = G.index_of_key(tuple(gf.frobenius(x, base.n).canon for x in G.elements[g].params))
+        k = G.index_of_params([gf.frobenius(x, base.n) for x in G.elements[g].params])
         if k is None:
             raise autmap._fault(G.curve, base, _ACTION_STAGE,
                                 "Frobenius carries an automorphism outside the group")

@@ -17,6 +17,7 @@ expected count/degree/census tables for characteristic 2 and 3 as
 `check_item` records, the pass/fail lines `twistlab repro --json` prints.
 """
 
+import functools
 import math
 
 from . import autmap, gf, twistcoh
@@ -56,8 +57,8 @@ class TwistReport:
 
 
 def _scalings(base, k):
-    """The least element of each coset of the k-th powers in base*, ascending,
-    and the u in base with u^k = 1.
+    """The packed value of the least element of each coset of the k-th
+    powers in base*, ascending, and the u in base with u^k = 1.
 
     The cosets are told apart by the power-residue class x^((q-1)/g),
     g = gcd(k, q - 1), scanning 1, 2, ... until all g are met.
@@ -67,7 +68,8 @@ def _scalings(base, k):
     minima = {}
     x = 1
     while len(minima) < g:
-        minima.setdefault(base._pow(x, qm1 // g), x)
+        v = base.from_canon(x).v
+        minima.setdefault(base._pow(v, qm1 // g), v)
         x += 1
     return list(minima.values()), gf.nth_roots(base.one, k)
 
@@ -86,7 +88,7 @@ def _short_classes(base, j):
     leading coefficient and image residues after it; those candidates are
     reduced, and the distinct least models returned ascending.
     """
-    p, elem = base.p, base.from_canon
+    p, elem = base.p, functools.partial(gf.FieldElem, base)
     if p == 2 and j.is_zero():
         # y^2 + a3 y = x^3 + a4 x + a6: (u, s, t) sends a3 to u^3 a3,
         # a4 to u^4 a4 + s^4 + a3 s and a6 to u^6 a6 + s^2 a4 + s^6 + t^2 + a3 t
@@ -162,10 +164,10 @@ def _label_class(E, T, base, group, g_classes, degrees):
     psi = isos[0]
     phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
     comp = gf.field_create(base.p, math.lcm(phi.field.n, group.field.n))
-    phi_key = autmap.embed_isomorphism(phi, comp).param_key()
+    phi_key = autmap.embed_isomorphism(phi, comp)._packed_key()
     index = None
     for k, g in enumerate(group.elements):
-        if autmap.embed_isomorphism(g, comp).param_key() == phi_key:
+        if autmap.embed_isomorphism(g, comp)._packed_key() == phi_key:
             index = k
             break
     if index is None:

@@ -364,6 +364,28 @@ def test_degree_search_skips_fields_without_the_units(monkeypatch, p, n, coeffs,
     assert (G.field.p, G.field.n) == (p, field_n)
 
 
+@pytest.mark.parametrize("p,n,coeffs,searched", [
+    (1019, 1, (0, 0, 0, 0, 1), 1),
+    (3, 5, (0, 0, 0, 2, 1), 3),
+    (2, 7, (0, 0, 1, 1, 1), 2),
+    (2, 1, (0, 0, 1, 0, 0), 1),
+])
+def test_automorphism_search_reduces_the_curve_once_per_degree(monkeypatch, p, n,
+                                                                coeffs, searched):
+    # find_isomorphisms(E, E, K) base-changes and reduces E once, not once
+    # per side
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    calls, reduce = [0], autmap.reduction_isomorphism
+
+    def counted(C):
+        calls[0] += 1
+        return reduce(C)
+
+    monkeypatch.setattr(autmap, "reduction_isomorphism", counted)
+    autmap.automorphism_group(E)
+    assert calls[0] == searched
+
+
 def test_reduction_shapes():
     # odd characteristic >= 5: full short form
     R = autmap.reduction_isomorphism(WeierstrassCurve(F7, 1, 2, 3, 4, 5)).target

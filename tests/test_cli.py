@@ -297,7 +297,7 @@ _MINUS_ONE_3_2 = "(3^2:2,0,3^2:0,0,3^2:0,0,3^2:0,0)@3^2"
 
 
 @pytest.mark.parametrize("owner, name, fault, argv, err", [
-    (autmap.AutGroup, "index_of_key", lambda self, key: None, ["h1"],
+    (autmap.AutGroup, "index_of_params", lambda self, params: None, ["h1"],
      "Frobenius action on the automorphisms of 0,0,0,2,0 over GF(3): "
      "Frobenius carries an automorphism outside the group"),
     (autmap.AutGroup, "index_of", lambda self, f: None, ["automorphisms"],

@@ -159,7 +159,7 @@ def test_is_field_rejects_split_product_of_divisor_degrees():
     # degrees 1, 2 and 3, all dividing 6, so X^63 = 1 holds in the ring and
     # only the condition at the primes of 6 rejects it
     ctx = gf.FieldCtx(2, 6, (1, 1, 0, 0, 1, 0, 1))
-    assert ctx._pow(ctx.p, ctx.q - 1) == 1
+    assert ctx._pow(ctx._radix, ctx.q - 1) == 1  # the class of x
     assert not gf._is_field(ctx)
 
 
@@ -168,7 +168,7 @@ def test_is_field_rejects_split_product_of_divisor_degrees_odd_p():
     # packed kernel, whose powers stay packed: X^80 = 1 in the ring, and
     # only the condition at the prime 2 of 4 rejects it
     ctx = gf.FieldCtx(3, 4, (2, 0, 0, 0, 1))
-    assert ctx._pow(ctx.p, ctx.q - 1) == 1
+    assert ctx._pow(ctx._radix, ctx.q - 1) == 1  # the class of x
     assert not gf._is_field(ctx)
 
 
@@ -205,7 +205,7 @@ def test_generator_scan_from_p_matches_scan_from_one():
             exponents = [qm1 // ell for ell in _primes_below(qm1 + 1) if qm1 % ell == 0]
             first = next(k for k in range(1, ctx.q)
                          if all(ctx.from_canon(k) ** x != 1 for x in exponents))
-            assert gf.generator(ctx).v == first, (p, n)
+            assert gf.generator(ctx).canon == first, (p, n)
             n += 1
 
 
@@ -327,14 +327,14 @@ SMALL_FIELDS = [(p, n) for p in range(2, 82) if gf.is_prime(p)
 def test_echelon_reduces_to_the_coset_minimum(p, n):
     # for f(x) = x^(p^k) + a x: reduce(v) is the least v - f(x) with an x
     # reaching it, residues() the least element of every coset of the
-    # image, and kernel_coset(0) the kernel
+    # image, and kernel_coset(0) the kernel; all on packed values
     ctx = gf.field_create(p, n)
     els = [x.v for x in gf.enumerate_field(ctx)]
     sub = ctx._sub
     for k in ((1, 2) if n > 1 else (1,)):
         for a in gf.enumerate_field(ctx):
-            f = [(gf.frobenius(x, k) + a * x).v for x in gf.enumerate_field(ctx)]
-            image = set(f)
+            f = {x.v: (gf.frobenius(x, k) + a * x).v for x in gf.enumerate_field(ctx)}
+            image = set(f.values())
             ech = gf.linearized_echelon(a, k)
             least = set()
             for v in els:
@@ -349,7 +349,7 @@ def test_echelon_reduces_to_the_coset_minimum(p, n):
             for x in els:
                 preimages.setdefault(f[x], []).append(x)
             for v in els:
-                got = [y.v for y in ech.roots(ctx.from_canon(v))]
+                got = [y.v for y in ech.roots(gf.FieldElem(ctx, v))]
                 assert got == preimages.get(v, []), (k, a, v)
 
 
@@ -369,8 +369,8 @@ def test_kernel_coset_takes_p_products_per_kernel_vector(monkeypatch):
     monkeypatch.setattr(ctx, "_mul", counted)
     coset = ech.kernel_coset(0)
     assert calls[0] <= ctx.p * len(ech.kernel)
-    assert coset == sorted(x for x in range(ctx.q)
-                           if gf.frobenius(ctx.from_canon(x), 3) == ctx.from_canon(x))
+    copy = (ctx.from_canon(k) for k in range(ctx.q))
+    assert coset == sorted(x.v for x in copy if gf.frobenius(x, 3) == x)
 
 
 def test_echelon_roots_reject_mixed_fields():
@@ -395,6 +395,31 @@ def test_trivial_log_builds_no_baby_step_table(monkeypatch):
     assert calls[0] < 1000
     monkeypatch.undo()
     assert F._mul is mul
+
+
+def test_second_log_builds_no_baby_step_table(monkeypatch):
+    # 5^13 - 1 = 4 * l with l = 305,175,781 prime: the baby-step table for l
+    # takes about sqrt(l) ~ 17,500 products, once per field; the logs
+    # below are small, so they take no giant step
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    F = gf.field_create(5, 13)
+    ell = (F.q - 1) // 4
+    assert sorted(F._unit_factors) == [2, ell] and F._log is None
+    g = gf.generator(F)
+    calls, mul = [0], F._mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(F, "_mul", counted)
+    for k, least in ((2, math.isqrt(ell)), (6, 0)):
+        calls[0] = 0
+        roots = gf.nth_roots(g ** k, 2)
+        assert least <= calls[0] < least + 1000
+        half = g ** (k // 2)
+        assert set(roots) == {half, -half}
+    assert sorted(F._dlog_steps) == [2, ell]
 
 
 def test_absolute_trace():
