@@ -1,7 +1,7 @@
 """Twists of elliptic curves over small finite fields.
 
-Exact arithmetic in GF(p^n), Weierstrass curves with brute-force point
-counts, automorphism groups including the non-abelian characteristic 2
+Exact arithmetic in GF(p^n), Weierstrass curves with point counts by
+character sums, automorphism groups including the non-abelian characteristic 2
 and 3 cases, Frobenius-twisted conjugacy classes with induced-map and
 capitulation reports, and explicit twist enumeration.
 """

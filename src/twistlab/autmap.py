@@ -130,10 +130,6 @@ class CurveIsomorphism:
         """Canonical sort key: parameter coefficient vectors as integers."""
         return (self.u.canon, self.r.canon, self.s.canon, self.t.canon)
 
-    def _packed_key(self):
-        """The parameters' packed values, which order as `param_key` does."""
-        return (self.u.v, self.r.v, self.s.v, self.t.v)
-
     def is_identity(self):
         return (
             self.u == self.field.one
@@ -153,7 +149,7 @@ class CurveIsomorphism:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.n) + self._packed_key())
+        return hash((self.field, self.params))
 
     def __repr__(self):
         return f"CurveIsomorphism{isomorphism_to_str(self)}"
@@ -376,7 +372,7 @@ def find_isomorphisms(E1, E2, field):
         )
         for core in _reduced_isomorphisms(red1.target, red2_inv.source)
     ]
-    isos.sort(key=CurveIsomorphism._packed_key)
+    isos.sort(key=lambda f: f.params)
     return isos
 
 
@@ -432,8 +428,8 @@ def _unit_order(p, j):
 class AutGroup:
     """The automorphism group of a curve over its minimal field of definition.
 
-    `index` maps the packed values of each element's parameters to its
-    position in `elements`.
+    `index` maps each element's parameters (u, r, s, t) to its position
+    in `elements`.
     `generators` are the indices of the group's generators g_0..g_{k-1},
     and `walk` lists every element e but the identity as (e, parent, j)
     with e = parent o g_j, each parent before the elements it leads to.
@@ -462,17 +458,11 @@ class AutGroup:
 
     def index_of(self, f):
         """Index of an automorphism with the same parameters, or None."""
-        return self._index.get(f._packed_key())
+        return self._index.get(f.params)
 
     def index_of_params(self, params):
         """Index of the automorphism with parameters (u, r, s, t), or None."""
-        return self._index.get(tuple(x.v for x in params))
-
-    def index_of_key(self, key):
-        """Index of the automorphism whose `param_key` is key, or None."""
-        if not all(0 <= k < self.field.q for k in key):
-            return None
-        return self.index_of_params([self.field.from_canon(k) for k in key])
+        return self._index.get(tuple(params))
 
     def element_order(self, i):
         return len(_subgroup_closure(self.cayley, (i,)))
@@ -520,7 +510,7 @@ def automorphism_group(E):
         raise _fault(E, E.ctx, "automorphism group",
                      f"automorphism search found {len(elements)} of {target} elements")
     params = [f.params for f in elements]
-    index = {f._packed_key(): i for i, f in enumerate(elements)}
+    index = {f.params: i for i, f in enumerate(elements)}
     n = len(params)
     # walk lists the elements as (e, parent, j) in the order reached from
     # the identity, e = parent o generators[j]; products[j] holds x o g_j
@@ -529,7 +519,7 @@ def automorphism_group(E):
         g = next(i for i in range(n) if i not in reached)
         times_g = []
         for a in params:
-            k = index.get(tuple(x.v for x in _compose_params(a, params[g])))
+            k = index.get(_compose_params(a, params[g]))
             if k is None:
                 raise _fault(E, field, "automorphism group",
                              "automorphism set is not closed under composition")

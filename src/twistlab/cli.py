@@ -245,7 +245,7 @@ def _label_items(items, G3, G2):
         (G2, (3, 0, 0, 1), (gf.field_create(2, 1), gf.field_create(2, 2)),
          ["trivial", "nontrivial"]),
     ):
-        index = group.index_of_key(key)
+        index = group.index_of_params(map(group.field.from_canon, key))
         for base, want in zip(bases, expected):
             A = twistcoh.frobenius_action(group, base)
             cls = next(

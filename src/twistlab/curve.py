@@ -44,7 +44,7 @@ class WeierstrassCurve:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n) + tuple(a.v for a in self.coefficients))
+        return hash((self.ctx, self.coefficients))
 
     def __repr__(self):
         names = ("a1", "a2", "a3", "a4", "a6")

@@ -16,7 +16,11 @@ in radix 2^w (`FieldCtx._radix`).  Digits are below p < 2^w, so packed
 values order, and compare, exactly as canonical indices do; a constant
 packs to itself.  Canonical ints appear only at the boundary: `canon`,
 `from_canon`, `coeffs` and the text format, `generator`'s scan, the
-exp/log tables and the walks that read them.
+exp/log tables and the walks that read them.  This module and
+`twistlab.gfkernels` are the only code that knows the packed encoding:
+no other module reads `.v`, builds a `FieldElem` or calls a kernel.
+Elements of one field order by `<` in the canonical order, so other
+modules sort them, take their minima and key dicts on them directly.
 
 Modulus.  `field_create` walks the monic candidates with a nonzero
 constant term in that order.  Each candidate gets a context of its own,
@@ -40,11 +44,11 @@ Tables.  Following the lookup-table design of the `galois` library
 an O(q) cost its caller pays anyway (a point count, `enumerate_field`
 for the oracles of the tests), builds exp and log tables over the
 canonical generator, stored as compact arrays indexed by canonical ints,
-plus Zech logs when p is odd and n > 1.  The exp table is the context's
-`_powers` walk of the generator, which keeps the running power packed.
-The tables serve the point-count walks, through the canonical kernels
-`_walk_kernels`, and the discrete log; they never replace the element
-kernels, so an element's `v` keeps its meaning.  Only `enumerate_field`
+plus Zech logs when p is odd and n > 1.  The exp table is one walk of
+the generator, which keeps the running power packed.  The tables serve
+the point-count walks, through the canonical kernels `_walk_kernels`,
+and the discrete log; they never replace the element kernels, so an
+element's `v` keeps its meaning.  Only `enumerate_field`
 also builds the list of every element as a `FieldElem`; a point count
 reads canonical ints and never does.  Fields used only for roots,
 linear algebra and embeddings are never tabled; their discrete logs use
@@ -214,9 +218,9 @@ class FieldCtx:
     element kernels, on packed values; `_pow` takes a nonzero base and an
     exponent already reduced mod q - 1.  `_radix` is the radix of the
     packed digits (p itself for a prime field), and `_pack` and `_unpack`
-    convert canonical ints to packed values and back.  `_powers(g, count)`
-    yields g^0, ..., g^(count - 1) as canonical ints, the walk that builds
-    the exp table.  A walk of the whole field adds `_exp`, `_log` and
+    convert canonical ints to packed values and back.  None of these is
+    read outside `twistlab.gf` and `twistlab.gfkernels`.  A walk of the
+    whole field adds `_exp`, `_log` and
     `_walk_kernels` (`gfkernels.table_kernels`); `_dlog_steps` keeps the
     baby-step table of each prime `_subgroup_log` has met.
     """
@@ -225,7 +229,7 @@ class FieldCtx:
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
         "_generator", "_unit_factors", "_embed_cache", "_dlog_steps", "_exp",
         "_log", "_walk_kernels", "_trace_form", "_add", "_sub", "_neg",
-        "_mul", "_inv", "_pow", "_radix", "_pack", "_unpack", "_powers",
+        "_mul", "_inv", "_pow", "_radix", "_pack", "_unpack",
     )
 
     def __init__(self, p, n, modulus):
@@ -294,10 +298,11 @@ class FieldElem:
     """An element of a FieldCtx, stored as its packed value `v`.
 
     Packed values order as canonical indices do, and a constant packs to
-    itself.  So an element equals an int k when it is the constant k mod
-    p, ints outside [0, p) compare after reduction mod p, and the hash,
-    that of `v`, is the same for an element and an int in [0, p) that
-    compare equal.
+    itself.  So `<` on two elements of one field is the canonical order
+    (elements of two fields, or an element and an int, do not order), an
+    element equals an int k when it is the constant k mod p, ints outside
+    [0, p) compare after reduction mod p, and the hash, that of `v`, is
+    the same for an element and an int in [0, p) that compare equal.
     """
 
     __slots__ = ("ctx", "v")
@@ -416,6 +421,11 @@ class FieldElem:
             return self.ctx is other.ctx and self.v == other.v
         if isinstance(other, int):
             return self.v == other % self.ctx.p
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is FieldElem and other.ctx is self.ctx:
+            return self.v < other.v
         return NotImplemented
 
     def __hash__(self):
@@ -545,9 +555,7 @@ def nth_roots(e, m):
         return []
     step = qm1 // d
     e0 = (k // d) * pow(m // d, -1, step) % step if step > 1 else 0
-    roots = [g ** (e0 + j * step) for j in range(d)]
-    roots.sort(key=lambda x: x.v)
-    return roots
+    return sorted(g ** (e0 + j * step) for j in range(d))
 
 
 def is_square(e):
@@ -573,12 +581,13 @@ def sqrt(e):
 class Echelon:
     """Row echelon form of a GF(p)-linear map f from a field to itself.
 
-    Built from the images of the basis elements x^i.  Each row's image
-    leads with digit 1 at its pivot weight R^i, where R is the field's
-    `_radix` and i the slot of its most significant nonzero digit; no two
-    rows share a pivot.  A row keeps d times its image and a preimage for
-    every digit d, so reducing by it takes no product.  `kernel` is a
-    GF(p) basis of f's kernel.
+    Built from the packed images of the basis elements x^i; its public
+    methods take and return field elements, and its rows and `kernel`, a
+    GF(p) basis of f's kernel, are packed values.  Each row's image leads
+    with digit 1 at its pivot weight R^i, where R is the field's `_radix`
+    and i the slot of its most significant nonzero digit; no two rows
+    share a pivot.  A row keeps d times its image and a preimage for
+    every digit d, so reducing by it takes no product.
     """
 
     __slots__ = ("ctx", "rows", "kernel")
@@ -603,22 +612,28 @@ class Echelon:
                 self.kernel.append(pre)
         self.rows = [(w,) + pivots[w] for w in sorted(pivots, reverse=True)]
 
-    def reduce(self, v):
-        """(v - f(x), x) for an x that makes v - f(x) least in canonical order.
+    def _packed(self, e):
+        """e's packed value; e must be an element of this field."""
+        if e.ctx is not self.ctx:
+            raise ValueError(f"mixed fields: {self.ctx} and {e.ctx}")
+        return e.v
 
-        Clears v's digit at every pivot, most significant first; a row
+    def reduce(self, e):
+        """(e - f(x), x) for an x that makes e - f(x) least in canonical order.
+
+        Clears e's digit at every pivot, most significant first; a row
         changes no digit above its pivot.  Every nonzero element of the
-        image leads at a pivot, so the one element of v's coset that is
+        image leads at a pivot, so the one element of e's coset that is
         zero at all pivots is its least.
         """
-        ctx = self.ctx
+        ctx, v = self.ctx, self._packed(e)
         radix, add, sub, x = ctx._radix, ctx._add, ctx._sub, 0
         for w, imgs, pres in self.rows:
             d = v // w % radix
             if d:
                 v = sub(v, imgs[d])
                 x = add(x, pres[d])
-        return v, x
+        return FieldElem(ctx, v), FieldElem(ctx, x)
 
     def kernel_coset(self, x):
         """x plus every element of the kernel, ascending.
@@ -626,19 +641,17 @@ class Echelon:
         Takes p products per kernel vector, its multiples, and only sums
         after that.
         """
-        add, mul, out = self.ctx._add, self.ctx._mul, [x]
+        ctx = self.ctx
+        add, mul, out = ctx._add, ctx._mul, [self._packed(x)]
         for k in self.kernel:
-            multiples = [mul(d, k) for d in range(self.ctx.p)]
+            multiples = [mul(d, k) for d in range(ctx.p)]
             out = [add(y, dk) for y in out for dk in multiples]
-        return sorted(out)
+        return [FieldElem(ctx, y) for y in sorted(out)]
 
     def roots(self, rhs):
-        """Every x with f(x) == rhs, ascending, as field elements."""
-        ctx = self.ctx
-        if rhs.ctx is not ctx:
-            raise ValueError(f"mixed fields: {ctx} and {rhs.ctx}")
-        residue, x = self.reduce(rhs.v)
-        return [] if residue else [FieldElem(ctx, y) for y in self.kernel_coset(x)]
+        """Every x with f(x) == rhs, ascending."""
+        residue, x = self.reduce(rhs)
+        return [] if residue else self.kernel_coset(x)
 
     def residues(self):
         """The least element of each coset of the image, ascending.
@@ -650,7 +663,7 @@ class Echelon:
         for w in (ctx._radix**i for i in range(ctx.n)):
             if w not in pivots:  # every earlier element is below w
                 out = [y + d * w for d in range(p) for y in out]
-        return out
+        return [FieldElem(ctx, y) for y in out]
 
 
 def linearized_echelon(a, k=1):

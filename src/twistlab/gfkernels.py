@@ -2,12 +2,13 @@
 
 Each `*_kernels(ctx)` function fills a context's element kernels `_add`,
 `_sub`, `_neg`, `_mul`, `_inv` and `_pow`, which work on the values that
-`FieldElem`s store, and its encoding: `_radix`, `_pack`, `_unpack` and
-the exp walk `_powers` (see `gf.FieldCtx`).  `table_kernels` builds a
-field's exp/log tables from `_powers` once it has been enumerated, with
-kernels on canonical ints for the walks that read them; it leaves the
-element kernels alone.  The module docstring of `twistlab.gf` describes
-the encoding and when each set is used.
+`FieldElem`s store, and its encoding: `_radix`, `_pack` and `_unpack`
+(see `gf.FieldCtx`).  Only `twistlab.gf` calls them.  `table_kernels`
+builds a field's exp/log tables once it has been enumerated, walking
+the generator's powers on the element kernels, with kernels on
+canonical ints for the walks that read the tables; it leaves the element
+kernels alone.  The module docstring of `twistlab.gf` describes the
+encoding and when each set is used.
 """
 
 from array import array
@@ -33,17 +34,9 @@ def prime_kernels(ctx):
     ctx._add = lambda a, b: (a + b) % p
     ctx._sub = lambda a, b: (a - b) % p
     ctx._neg = lambda a: -a % p
-    ctx._mul = mul = lambda a, b: a * b % p
+    ctx._mul = lambda a, b: a * b % p
     ctx._inv = lambda a: pow(a, -1, p)
     ctx._pow = lambda a, e: pow(a, e, p)
-
-    def powers(g, count):
-        cur = 1
-        for _ in range(count):
-            yield cur
-            cur = mul(cur, g)
-
-    ctx._powers = powers
 
 
 def packed_kernels(ctx):
@@ -62,8 +55,7 @@ def packed_kernels(ctx):
     packs to itself, and a constant base takes the built-in `pow`.
 
     `_pack` and `_unpack` convert canonical ints, c digits at a time
-    through two p^c-entry lookups built on first use; `_powers` keeps the
-    running power packed and unpacks each entry for the exp table.
+    through two p^c-entry lookups built on first use.
     """
     p, n = ctx.p, ctx.n
     g = [(-c) % p for c in ctx.modulus[:n]]
@@ -144,12 +136,6 @@ def packed_kernels(ctx):
             place *= chunk
         return v
 
-    def powers(g, count):
-        s = 1
-        for _ in range(count):
-            yield unpack(s)
-            s = mul(s, g)
-
     qm2 = ctx.q - 2
     if p == 2:
         ctx._add = ctx._sub = int.__xor__
@@ -163,22 +149,25 @@ def packed_kernels(ctx):
     ctx._inv = lambda a: power(a, qm2)
     ctx._pow = pow_
     ctx._radix, ctx._pack, ctx._unpack = 1 << w, pack, unpack
-    ctx._powers = powers
 
 
 def table_kernels(ctx, g):
     """Exp/log tables over the generator g (an element value), and the
     kernels on canonical ints that read them.
 
-    exp is read off the context's `_powers(g, q - 1)`, then repeated
-    once: it has 2(q - 1) entries, so a sum of two logs needs no
-    reduction.  `_walk_kernels` is (mul, add, inv) on canonical ints:
-    the native kernels for prime fields; lookups for n > 1, with XOR as
-    the sum for p = 2 and Zech logs for odd p.
+    exp is one walk of g's powers on the element kernels, the running
+    power packed and each entry unpacked, then repeated once: it has
+    2(q - 1) entries, so a sum of two logs needs no reduction.
+    `_walk_kernels` is (mul, add, inv) on canonical ints: the native
+    kernels for prime fields; lookups for n > 1, with XOR as the sum for
+    p = 2 and Zech logs for odd p.
     """
     p, q = ctx.p, ctx.q
     qm1 = q - 1
-    exp = array("i", ctx._powers(g, qm1))
+    times, unpack, exp, s = ctx._mul, ctx._unpack, array("i"), 1
+    for _ in range(qm1):
+        exp.append(unpack(s))
+        s = times(s, g)
     log = array("i", [0]) * q
     for i, v in enumerate(exp):
         log[v] = i

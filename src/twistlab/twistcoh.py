@@ -5,13 +5,14 @@ the q-power Frobenius, so a continuous cocycle with values in Aut(E) is
 determined by its value at Frobenius, and two cocycles agree up to
 coboundary exactly when their values lie in the same twisted conjugacy
 class {sigma^-1 * tau * Fr(sigma)}.  This module computes those classes,
-cocycle values and orders, the Galois-stable subgroups, and the induced
-maps between class sets for a stable subgroup (kernel sizes and fiber
-collisions).
+cocycle orders and splitting degrees, the Galois-stable subgroups, and
+the induced maps between class sets for a stable subgroup (kernel sizes
+and fiber collisions).
 
 Convention: a cocycle's value at Fr^j is the left-to-right product
 Phi * Fr(Phi) * ... * Fr^{j-1}(Phi); the cocycle identity
-v(j+k) = v(j) * Fr^j(v(k)) holds and is exercised by the tests.
+v(j+k) = v(j) * Fr^j(v(k)) holds, and the tests check it on the values
+of `cocycle_value` in `tests/oracles.py`.
 """
 
 import itertools
@@ -184,14 +185,6 @@ def frobenius_classes(A):
     A.base.
     """
     return _twisted_partition(A, range(A.group.order))
-
-
-def cocycle_value(c, j):
-    """Value of the cocycle at Fr^j; j = 0 gives the identity."""
-    if not isinstance(j, int) or j < 0:
-        raise ValueError(f"cocycle arguments are nonnegative integers, got {j}")
-    index = next(itertools.islice(_values(c), j - 1, None)) if j else 0
-    return c.action.group.elements[index]
 
 
 def _values(c):

@@ -17,7 +17,6 @@ expected count/degree/census tables for characteristic 2 and 3 as
 `check_item` records, the pass/fail lines `twistlab repro --json` prints.
 """
 
-import functools
 import math
 
 from . import autmap, gf, twistcoh
@@ -57,20 +56,21 @@ class TwistReport:
 
 
 def _scalings(base, k):
-    """The packed value of the least element of each coset of the k-th
-    powers in base*, ascending, and the u in base with u^k = 1.
+    """The least element of each coset of the k-th powers in base*,
+    ascending, and the u in base with u^k = 1.
 
     The cosets are told apart by the power-residue class x^((q-1)/g),
-    g = gcd(k, q - 1), scanning 1, 2, ... until all g are met.
+    g = gcd(k, q - 1), scanning x in canonical order from 1 until all g
+    are met.
     """
     qm1 = base.q - 1
     g = math.gcd(k, qm1)
     minima = {}
-    x = 1
+    i = 1
     while len(minima) < g:
-        v = base.from_canon(x).v
-        minima.setdefault(base._pow(v, qm1 // g), v)
-        x += 1
+        x = base.from_canon(i)
+        minima.setdefault(x ** (qm1 // g), x)
+        i += 1
     return list(minima.values()), gf.nth_roots(base.one, k)
 
 
@@ -88,7 +88,7 @@ def _short_classes(base, j):
     leading coefficient and image residues after it; those candidates are
     reduced, and the distinct least models returned ascending.
     """
-    p, elem = base.p, functools.partial(gf.FieldElem, base)
+    p = base.p
     if p == 2 and j.is_zero():
         # y^2 + a3 y = x^3 + a4 x + a6: (u, s, t) sends a3 to u^3 a3,
         # a4 to u^4 a4 + s^4 + a3 s and a6 to u^6 a6 + s^2 a4 + s^6 + t^2 + a3 t
@@ -96,19 +96,19 @@ def _short_classes(base, j):
         prefix, nodes = (0, 0), set()
         minima, units = _scalings(base, 3)
         for m in minima:
-            shift4, shift6 = (gf.linearized_echelon(elem(m), k) for k in (2, 1))
+            shift4, shift6 = (gf.linearized_echelon(m, k) for k in (2, 1))
 
             def images(a4, a6):
                 for u in units:
-                    b4, s0 = shift4.reduce((u ** 4 * a4).v)
-                    for s in map(elem, shift4.kernel_coset(s0)):
-                        yield b4, shift6.reduce((u ** 6 * a6 + s * s * elem(b4) + s ** 6).v)[0]
+                    b4, s0 = shift4.reduce(u ** 4 * a4)
+                    for s in shift4.kernel_coset(s0):
+                        yield b4, shift6.reduce(u ** 6 * a6 + s * s * b4 + s ** 6)[0]
 
-            nodes.update((m,) + min(images(elem(a4), elem(a6)))
+            nodes.update((m,) + min(images(a4, a6))
                          for a4 in shift4.residues() for a6 in shift6.residues())
     elif p == 2:
         # y^2 + x y = x^3 + a2 x^2 + 1/j; s sends a2 to a2 + s^2 + s
-        prefix, a6 = (1,), j.inv().v
+        prefix, a6 = (1,), j.inv()
         nodes = {(a2, 0, 0, a6) for a2 in gf.linearized_echelon(base.one).residues()}
     elif p == 3 and j.is_zero():
         # y^2 = x^3 + a4 x + a6: (u, r) sends a4 to u^4 a4 and a6 to
@@ -116,15 +116,15 @@ def _short_classes(base, j):
         prefix, nodes = (0, 0, 0), set()
         minima, units = _scalings(base, 4)
         for m in minima:
-            shift = gf.linearized_echelon(elem(m))
-            nodes.update((m, min(shift.reduce((u ** 6 * elem(a6)).v)[0] for u in units))
+            shift = gf.linearized_echelon(m)
+            nodes.update((m, min(shift.reduce(u ** 6 * a6)[0] for u in units))
                          for a6 in shift.residues())
     elif p == 3:
         # y^2 = x^3 + a2 x^2 + a4 x + a6: u scales a2 by u^2 and r shifts a4
         # by r a2, so each class has a model with a4 = 0, where the
         # discriminant a2^2 a4^2 - a4^3 - a2^3 a6 = a2^6 / j fixes a6
         prefix = (0,)
-        nodes = {(m, 0, 0, (-elem(m) ** 3 / j).v) for m in _scalings(base, 2)[0]}
+        nodes = {(m, 0, 0, -m ** 3 / j) for m in _scalings(base, 2)[0]}
     elif j.is_zero():
         # y^2 = x^3 + a6: u scales a6 by u^6
         prefix = (0, 0, 0)
@@ -134,9 +134,9 @@ def _short_classes(base, j):
         # so c = 0 gives j = 1728
         prefix, c = (0, 0, 0), 4 * (1728 - j) / (27 * j)
         minima, units = _scalings(base, 4)
-        nodes = {(m, min((u ** 6 * a6).v for u in units))
-                 for m in minima for a6 in gf.nth_roots(c * elem(m) ** 3, 2)}
-    return [WeierstrassCurve(base, *map(elem, prefix + node)) for node in sorted(nodes)]
+        nodes = {(m, min(u ** 6 * a6 for u in units))
+                 for m in minima for a6 in gf.nth_roots(c * m ** 3, 2)}
+    return [WeierstrassCurve(base, *prefix, *node) for node in sorted(nodes)]
 
 
 def _class_data(E, base):
@@ -164,10 +164,10 @@ def _label_class(E, T, base, group, g_classes, degrees):
     psi = isos[0]
     phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
     comp = gf.field_create(base.p, math.lcm(phi.field.n, group.field.n))
-    phi_key = autmap.embed_isomorphism(phi, comp)._packed_key()
+    phi_params = autmap.embed_isomorphism(phi, comp).params
     index = None
     for k, g in enumerate(group.elements):
-        if autmap.embed_isomorphism(g, comp)._packed_key() == phi_key:
+        if autmap.embed_isomorphism(g, comp).params == phi_params:
             index = k
             break
     if index is None:

@@ -475,6 +475,20 @@ def cocycle_walk(A, phi):
     return order, degree
 
 
+def cocycle_value(c, j):
+    """Value of the cocycle c at Fr^j, the left-to-right product
+    Phi * Fr(Phi) * ... * Fr^(j-1)(Phi) of Phi = c.image; j = 0 gives the
+    identity."""
+    if not isinstance(j, int) or j < 0:
+        raise ValueError(f"cocycle arguments are nonnegative integers, got {j}")
+    table, perm = c.action.group.cayley, c.action.perm
+    value, fr_phi = 0, c.index
+    for _ in range(j):
+        value = table[value][fr_phi]
+        fr_phi = perm[fr_phi]
+    return c.action.group.elements[value]
+
+
 # certificates that check class data without an isomorphism search between
 # distinct curves; neither catches two classes of equal size swapping labels
 

@@ -1,9 +1,11 @@
 """Field arithmetic: axioms checked exhaustively for every q <= 81."""
 
+import ast
 import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,46 @@ def test_canonical_order_round_trip():
             assert ctx.from_canon(k) == e
     with pytest.raises(ValueError):
         gf.field_create(3, 2).from_canon(9)
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (2, 5), (3, 3), (5, 2)])
+def test_elements_order_canonically(p, n):
+    # `<` on elements of one field is the canonical order; elements of
+    # two fields do not order
+    ctx = gf.field_create(p, n)
+    els = gf.enumerate_field(ctx)
+    assert sorted(gf.enumerate_field(ctx)) == els
+    assert sorted(reversed(els)) == els
+    shuffled = list(els)
+    random.Random(p * n).shuffle(shuffled)
+    assert sorted(shuffled) == els
+    assert min(shuffled) == ctx.zero and max(shuffled) == els[-1]
+    other = gf.field_create(11).one
+    with pytest.raises(TypeError):
+        els[1] < other
+    with pytest.raises(TypeError):
+        sorted([other, els[1]])
+
+
+_ENCODING_ATTRS = {"v", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
+                   "_radix", "_pack", "_unpack"}
+
+
+def test_no_module_outside_gf_reads_the_packed_encoding():
+    # gf and gfkernels alone know how an element is stored: no other
+    # module reads `.v`, names `FieldElem` or touches a kernel
+    package = Path(gf.__file__).parent
+    modules = [path for path in sorted(package.glob("*.py"))
+               if path.name not in ("gf.py", "gfkernels.py")]
+    assert "autmap.py" in {path.name for path in modules}
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, key, None) for key in ("attr", "id", "name")}
+            if ("FieldElem" in names
+                    or isinstance(node, ast.Attribute) and node.attr in _ENCODING_ATTRS):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_moduli_are_frozen():
@@ -327,30 +369,28 @@ SMALL_FIELDS = [(p, n) for p in range(2, 82) if gf.is_prime(p)
 def test_echelon_reduces_to_the_coset_minimum(p, n):
     # for f(x) = x^(p^k) + a x: reduce(v) is the least v - f(x) with an x
     # reaching it, residues() the least element of every coset of the
-    # image, and kernel_coset(0) the kernel; all on packed values
+    # image, and kernel_coset(0) the kernel; all on field elements
     ctx = gf.field_create(p, n)
-    els = [x.v for x in gf.enumerate_field(ctx)]
-    sub = ctx._sub
+    els = gf.enumerate_field(ctx)
     for k in ((1, 2) if n > 1 else (1,)):
-        for a in gf.enumerate_field(ctx):
-            f = {x.v: (gf.frobenius(x, k) + a * x).v for x in gf.enumerate_field(ctx)}
+        for a in els:
+            f = {x: gf.frobenius(x, k) + a * x for x in els}
             image = set(f.values())
             ech = gf.linearized_echelon(a, k)
             least = set()
             for v in els:
                 residue, x = ech.reduce(v)
-                assert residue == min(sub(v, w) for w in image), (k, a, v)
-                assert sub(v, f[x]) == residue, (k, a, v)
+                assert residue == min(v - w for w in image), (k, a, v)
+                assert v - f[x] == residue, (k, a, v)
                 least.add(residue)
             assert ech.residues() == sorted(least), (k, a)
-            assert ech.kernel_coset(0) == [x for x in els if not f[x]], (k, a)
+            assert ech.kernel_coset(ctx.zero) == [x for x in els if not f[x]], (k, a)
             # roots(v) is the full preimage of v, ascending
             preimages = {}
             for x in els:
                 preimages.setdefault(f[x], []).append(x)
             for v in els:
-                got = [y.v for y in ech.roots(gf.FieldElem(ctx, v))]
-                assert got == preimages.get(v, []), (k, a, v)
+                assert ech.roots(v) == preimages.get(v, []), (k, a, v)
 
 
 def test_kernel_coset_takes_p_products_per_kernel_vector(monkeypatch):
@@ -367,16 +407,17 @@ def test_kernel_coset_takes_p_products_per_kernel_vector(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(ctx, "_mul", counted)
-    coset = ech.kernel_coset(0)
+    coset = ech.kernel_coset(ctx.zero)
     assert calls[0] <= ctx.p * len(ech.kernel)
     copy = (ctx.from_canon(k) for k in range(ctx.q))
-    assert coset == sorted(x.v for x in copy if gf.frobenius(x, 3) == x)
+    assert coset == sorted(x for x in copy if gf.frobenius(x, 3) == x)
 
 
 def test_echelon_roots_reject_mixed_fields():
     ech = gf.linearized_echelon(gf.field_create(2, 3).one)
-    with pytest.raises(ValueError, match="mixed fields"):
-        ech.roots(gf.field_create(2, 4).one)
+    for solve in (ech.roots, ech.reduce):
+        with pytest.raises(ValueError, match="mixed fields"):
+            solve(gf.field_create(2, 4).one)
 
 
 def test_trivial_log_builds_no_baby_step_table(monkeypatch):

@@ -98,14 +98,15 @@ def test_roots_match_oracle(p, n, tabled, data):
 @pytest.mark.parametrize("p,n", [(1019, 1), (2, 8), (3, 7)],
                          ids=["prime", "binary", "packed"])
 def test_powers_are_the_iterated_products(p, n):
-    # the walk keeps its power packed and yields canonical ints
-    ctx = _field(p, n, False)
-    for g in (gf.generator(ctx).v, p - 1, ctx._pack(ctx.q - 2)):
-        want, cur = [], 1
-        for _ in range(300):
-            want.append(ctx._unpack(cur))
-            cur = ctx._mul(cur, g)
-        assert list(ctx._powers(g, 300)) == want
+    # the exp table, written by a walk that keeps its power packed, lists
+    # the canonical ints of the generator's powers, twice over
+    ctx = _field(p, n, True)
+    g, cur, want = gf.generator(ctx), ctx.one, []
+    for _ in range(ctx.q - 1):
+        want.append(cur.canon)
+        cur = cur * g
+    assert cur == ctx.one
+    assert list(ctx._exp) == want * 2
 
 
 def _count_over_extension(coeffs, p, n):
