@@ -22,16 +22,17 @@ satisfies it.  Each map is either checked or derived:
   The cores of `_reduced_isomorphisms` are plain (u, r, s, t) tuples
   between two short models of one j-invariant, each solving the
   identity's equations one by one (the last equation, where it is not
-  solved, is forced by the equal j), and `find_isomorphisms` composes
-  them with two reduction maps.
+  solved, is forced by the equal j); `find_isomorphisms` and
+  `automorphism_group` compose them with the reduction maps.
 
 Automorphism groups are computed over the minimal extension carrying all
 of them; the search skips every degree that lacks the roots of unity the
-group's u-values need.  Each group keeps one walk from the identity: its
-k <= log2(n) generators, and every other element written as a word
-parent(e) o g_j (see `automorphism_group`).  The walk has two readers: the
-Cayley table, filled by k*n compositions and lookups, and in `twistcoh`
-the Frobenius action, which looks up the images of the generators only.
+group's u-values need.  The group is the closure of its k <= log2(n)
+generators, a few cores conjugated back to the curve, and keeps one walk
+from the identity, every other element written as a word parent(e) o g_j
+(see `automorphism_group`).  The walk has two readers: the Cayley table,
+filled by k*n compositions and lookups, and in `twistcoh` the Frobenius
+action, which looks up the images of the generators only.
 Structure analysis reads the table through two walks:
 
 - the closure `_subgroup_closure(table, seed)`, the subgroup a seed
@@ -275,7 +276,9 @@ def _reduced_isomorphisms(R1, R2):
     one `gf.Echelon` built before the loops.  An equation that is not
     solved is forced by the equal j-invariants, as each branch comment
     shows, so every tuple satisfies the identity without a test or a
-    re-check.  `find_isomorphisms`, the only caller, takes every solution.
+    re-check.  `find_isomorphisms` conjugates every solution by the two
+    reduction maps; `automorphism_group` counts them to pick its degree
+    and conjugates only the few its closure needs.
     """
     ctx = R1.ctx
     p = ctx.p
@@ -358,13 +361,9 @@ def find_isomorphisms(E1, E2, field):
     if E1.j_invariant() != E2.j_invariant():
         return []
     S = E1.base_change(field)
+    T = E2.base_change(field)
     red1 = reduction_isomorphism(S)
-    if E2 is E1:  # an automorphism search reduces the curve once
-        T, red2 = S, red1
-    else:
-        T = E2.base_change(field)
-        red2 = reduction_isomorphism(T)
-    red2_inv = invert(red2)
+    red2_inv = invert(reduction_isomorphism(T))
     isos = [
         CurveIsomorphism._derived(
             field, S, T,
@@ -428,11 +427,13 @@ def _unit_order(p, j):
 class AutGroup:
     """The automorphism group of a curve over its minimal field of definition.
 
-    `index` maps each element's parameters (u, r, s, t) to its position
-    in `elements`.
-    `generators` are the indices of the group's generators g_0..g_{k-1},
-    and `walk` lists every element e but the identity as (e, parent, j)
-    with e = parent o g_j, each parent before the elements it leads to.
+    `elements` are sorted by parameters, as `find_isomorphisms(E, E,
+    field)` sorts them, and `index` maps each element's parameters
+    (u, r, s, t) to its position in `elements`.  `generators` are the
+    indices of the group's generators g_0..g_{k-1}, the conjugated cores
+    that built it (see `automorphism_group`), and `walk` lists every
+    element e but the identity as (e, parent, j) with e = parent o g_j,
+    each parent before the elements it leads to.
     """
 
     __slots__ = ("curve", "field", "elements", "cayley", "inverses",
@@ -475,23 +476,38 @@ def automorphism_group(E):
     """All automorphisms of E over the separable closure.
 
     Realized over the minimal extension of E's field that carries every
-    automorphism, found by searching extension degrees until the count
-    reaches the maximum allowed by (p, j).  The u-values of Aut(E) are
-    the m-th roots of unity for an m fixed by (p, j), so a degree d with
-    m not dividing q^d - 1 cannot carry them all and is skipped unsearched.
+    automorphism, found by searching extension degrees until the count of
+    cores, the solutions of `_reduced_isomorphisms` from E's short model R
+    to itself, reaches the maximum allowed by (p, j).  The u-values of
+    Aut(E) are the m-th roots of unity for an m fixed by (p, j), so a
+    degree d with m not dividing q^d - 1 cannot carry them all and is
+    skipped unsearched.
 
-    The Cayley table is built from generators, chosen greedily in index
-    order: each is the first element outside the closure of those before
-    it, so each at least doubles that closure and k <= log2(n) of them
-    generate the group.  For each generator g the n products x o g are
-    composed and looked up, k*n compositions in all; a product outside
-    the set is a fault.  A walk from the identity under these right
-    multiplications writes every element e as parent(e) o g, and each
-    row follows by lookups only: a o e = (a o parent(e)) o g.  Closure
-    under the generators proves closure under composition, because
-    composition of maps is associative and every element is a word in
-    the generators.  The group keeps the generators and the walk, which
-    `twistcoh.frobenius_action` reads too.
+    The group is the closure of a few cores, not every core conjugated
+    back to E.  Conjugation by the reduction map red keeps u, and u is a
+    homomorphism of Aut(E) onto the m-th roots of unity, injective for
+    p >= 5; the cores whose u has order m come first, so for p >= 5 the
+    first one generates the group.  One at a time, a core is conjugated
+    as red^-1 o core o red, two compositions, and skipped if the closure
+    holds it already; otherwise it is the next generator g_j, and the
+    closure grows by the products x o g_j until it is closed under every
+    generator.  A generator outside the closure of those before it at
+    least doubles that closure, so k <= log2(n) generators reach all n
+    elements, and the build stops there.  Each product is an entry of
+    the Cayley table, so the build costs 2c + k*n compositions for c
+    cores conjugated.  Closure under the generators proves closure under
+    composition, because composition of maps is associative and every
+    element is a word in the generators; every generator is an
+    automorphism, so the n elements reached are all of Aut(E).  A product
+    that would take the closure past n elements is a fault.
+
+    The closure is sorted by parameters, the order of
+    `find_isomorphisms(E, E, field)`, and its products, generators and
+    walk are relabelled.  The walk writes every element e as
+    parent(e) o g_j, each parent before the elements it leads to, and
+    each row of the table follows by lookups only:
+    a o e = (a o parent(e)) o g_j.  The group keeps the generators and
+    the walk, which `twistcoh.frobenius_action` reads too.
     """
     if not E.is_smooth():
         raise ValueError("singular equations have no automorphism group here")
@@ -503,36 +519,56 @@ def automorphism_group(E):
         if (E.ctx.q ** d - 1) % m:
             continue
         field = gf.field_create(p, E.ctx.n * d)
-        elements = find_isomorphisms(E, E, field)
-        if len(elements) == target:
+        S = E.base_change(field)
+        red = reduction_isomorphism(S)
+        cores = list(_reduced_isomorphisms(red.target, red.target))
+        if len(cores) == target:
             break
     else:
         raise _fault(E, E.ctx, "automorphism group",
-                     f"automorphism search found {len(elements)} of {target} elements")
-    params = [f.params for f in elements]
-    index = {f.params: i for i, f in enumerate(elements)}
-    n = len(params)
-    # walk lists the elements as (e, parent, j) in the order reached from
-    # the identity, e = parent o generators[j]; products[j] holds x o g_j
-    generators, products, walk, reached = [], [], [(0, None, None)], {0}
-    while len(reached) < n:
-        g = next(i for i in range(n) if i not in reached)
-        times_g = []
-        for a in params:
-            k = index.get(_compose_params(a, params[g]))
-            if k is None:
-                raise _fault(E, field, "automorphism group",
-                             "automorphism set is not closed under composition")
-            times_g.append(k)
-        generators.append(g)
-        products.append(times_g)
-        for a, _, _ in walk:
+                     f"automorphism search found {len(cores)} of {target} elements")
+    one, zero = field.one, field.zero
+    identity = (one, zero, zero, zero)
+    # conjugation keeps u, and u is a homomorphism onto the m-th roots of
+    # unity: cores whose u has order m come first, the identity not at all
+    cores = sorted((c for c in cores if c != identity), key=lambda c: any(
+        c[0] ** (m // ell) == one for ell in (2, 3) if m % ell == 0))
+    red_inv = invert(red)
+    # params and walk list the closure in the order reached, e = parent o
+    # g_j for (e, parent, j) in walk; products[j][x] is the index of x o g_j
+    params, index, walk, products, gens = [identity], {identity: 0}, [], [], []
+    for core in cores:
+        if len(params) == target:
+            break
+        g = _compose_params(red_inv.params, _compose_params(core, red.params))
+        if g in index:
+            continue
+        gens.append(g)
+        products.append([])
+        x = 0
+        while x < len(params):  # each new element times every generator
             for j, right in enumerate(products):
-                e = right[a]
-                if e not in reached:
-                    reached.add(e)
-                    walk.append((e, a, j))
-    walk = tuple(walk[1:])
+                if len(right) == x:
+                    e = _compose_params(params[x], gens[j])
+                    k = index.get(e)
+                    if k is None:
+                        if len(params) == target:
+                            raise _fault(E, field, "automorphism group",
+                                         "automorphism set is not closed under composition")
+                        k = index[e] = len(params)
+                        params.append(e)
+                        walk.append((k, x, j))
+                    right.append(k)
+            x += 1
+    # relabel everything in the canonical order of the parameters
+    n = len(params)
+    order = sorted(range(n), key=params.__getitem__)
+    new = {old: i for i, old in enumerate(order)}
+    elements = [CurveIsomorphism._derived(field, S, S, *params[old]) for old in order]
+    index = {params[old]: i for i, old in enumerate(order)}
+    products = [[new[right[old]] for old in order] for right in products]
+    generators = tuple(right[0] for right in products)
+    walk = tuple((new[e], new[parent], j) for e, parent, j in walk)
     cayley = []
     for a in range(n):
         row = [None] * n
@@ -540,7 +576,7 @@ def automorphism_group(E):
         for e, parent, j in walk:
             row[e] = products[j][row[parent]]
         cayley.append(tuple(row))
-    return AutGroup(E, field, elements, tuple(cayley), index, tuple(generators), walk)
+    return AutGroup(E, field, elements, tuple(cayley), index, generators, walk)
 
 
 class SubgroupInfo:

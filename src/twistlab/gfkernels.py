@@ -156,8 +156,9 @@ def table_kernels(ctx, g):
     kernels on canonical ints that read them.
 
     exp is one walk of g's powers on the element kernels, the running
-    power packed and each entry unpacked, then repeated once: it has
-    2(q - 1) entries, so a sum of two logs needs no reduction.
+    power packed and each entry unpacked (a prime field's residue is its
+    own entry), then repeated once: it has 2(q - 1) entries, so a sum of
+    two logs needs no reduction.
     `_walk_kernels` is (mul, add, inv) on canonical ints: the native
     kernels for prime fields; lookups for n > 1, with XOR as the sum for
     p = 2 and Zech logs for odd p.
@@ -165,9 +166,14 @@ def table_kernels(ctx, g):
     p, q = ctx.p, ctx.q
     qm1 = q - 1
     times, unpack, exp, s = ctx._mul, ctx._unpack, array("i"), 1
-    for _ in range(qm1):
-        exp.append(unpack(s))
-        s = times(s, g)
+    if unpack is int:
+        for _ in range(qm1):
+            exp.append(s)
+            s = times(s, g)
+    else:
+        for _ in range(qm1):
+            exp.append(unpack(s))
+            s = times(s, g)
     log = array("i", [0]) * q
     for i, v in enumerate(exp):
         log[v] = i

@@ -39,10 +39,12 @@ class FrobAction:
       on parameters, so it permutes the group.
 
     `order` is the least m with perm^m the identity; it must divide the
-    degree of the group's field over `base`.
+    degree of the group's field over `base`.  The twisted classes of the
+    whole group and the coboundary sets are computed once, on first use
+    (`frobenius_classes`, `_coboundary_sets`).
     """
 
-    __slots__ = ("group", "base", "perm", "order")
+    __slots__ = ("group", "base", "perm", "order", "_classes", "_coboundaries")
 
     def __init__(self, group, base, perm):
         self.group = group
@@ -59,6 +61,7 @@ class FrobAction:
             raise autmap._fault(group.curve, base, _ACTION_STAGE, f"action order "
                                 f"{order} does not divide the field degree {degree}")
         self.order = order
+        self._classes = self._coboundaries = None
 
     def __repr__(self):
         return (
@@ -182,9 +185,11 @@ def frobenius_classes(A):
 
     Sorted by canonical representative, so the trivial class comes first.
     The number of classes is the number of twists of the curve over
-    A.base.
+    A.base.  Computed once per action; each call returns a new list.
     """
-    return _twisted_partition(A, range(A.group.order))
+    if A._classes is None:
+        A._classes = _twisted_partition(A, range(A.group.order))
+    return list(A._classes)
 
 
 def _values(c):
@@ -222,15 +227,18 @@ def _coboundary_sets(A):
 
     The twist of a cocycle c splits over the degree-j extension exactly
     when v(j) lies in B_{j mod m}: the restriction of c to the subgroup
-    generated by Fr^j is then a coboundary there.
+    generated by Fr^j is then a coboundary there.  Computed once per
+    action; each call returns a new list.
     """
-    n = A.group.order
-    sets = []
-    perm_r = tuple(range(n))
-    for _ in range(A.order):
-        sets.append(autmap._twisted_class(A.group, 0, range(n), perm_r))
-        perm_r = tuple(A.perm[i] for i in perm_r)
-    return sets
+    if A._coboundaries is None:
+        n = A.group.order
+        sets = []
+        perm_r = tuple(range(n))
+        for _ in range(A.order):
+            sets.append(autmap._twisted_class(A.group, 0, range(n), perm_r))
+            perm_r = tuple(A.perm[i] for i in perm_r)
+        A._coboundaries = sets
+    return list(A._coboundaries)
 
 
 def splitting_degree(c):

@@ -349,16 +349,16 @@ def test_find_isomorphisms_builds_each_echelon_once(monkeypatch, p, n, coeffs, e
 def test_degree_search_skips_fields_without_the_units(monkeypatch, p, n, coeffs,
                                                       searched, field_n):
     # Aut's u-values are the m-th roots of unity (m = 6, 4 and 3 here), so
-    # only degrees whose field has them are searched
+    # only degrees whose field has them are searched, one core solve each
     K = gf.field_create(p, n)
     E = WeierstrassCurve(K, *coeffs)
-    degrees, find = [], autmap.find_isomorphisms
+    degrees, solve = [], autmap._reduced_isomorphisms
 
-    def recorded(E1, E2, field):
-        degrees.append(field.n)
-        return find(E1, E2, field)
+    def recorded(R1, R2):
+        degrees.append(R1.ctx.n)
+        return solve(R1, R2)
 
-    monkeypatch.setattr(autmap, "find_isomorphisms", recorded)
+    monkeypatch.setattr(autmap, "_reduced_isomorphisms", recorded)
     G = autmap.automorphism_group(E)
     assert degrees == searched
     assert (G.field.p, G.field.n) == (p, field_n)
@@ -462,20 +462,41 @@ def test_cayley_table_costs_log_n_compositions_per_element(
         monkeypatch, p, n, coeffs, order, degree):
     E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
     G = autmap.automorphism_group(E)
-    # the search hands back the same elements without composing anything,
-    # so every composition counted below is the table build's
-    monkeypatch.setattr(autmap, "find_isomorphisms",
-                        lambda E1, E2, field: list(G.elements) if field == G.field else [])
+    red = autmap.reduction_isomorphism(E.base_change(G.field)).params
+    # a core is conjugated as red^-1 o (core o red), the only composition
+    # whose right factor is red: no generator of Aut(E) is a reduction map
     calls = []
     compose_params = autmap._compose_params
     monkeypatch.setattr(autmap, "_compose_params",
-                        lambda f, g: calls.append(1) or compose_params(f, g))
+                        lambda f, g: calls.append(g == red) or compose_params(f, g))
     H = autmap.automorphism_group(E)
     assert H.cayley == G.cayley
-    # each generator at least doubles the closure of those before it, so
+    conjugated = sum(calls)
+    # two compositions per core conjugated, fewer than the n - 1 cores that
+    # are not the identity; each generator at least doubles the closure, so
     # k <= floor(log2 n), and each costs n compositions, against n^2
+    assert 1 <= conjugated < order
     assert len(H.generators) <= order.bit_length() - 1
-    assert len(calls) == len(H.generators) * order
+    assert len(calls) == 2 * conjugated + len(H.generators) * order
+    if p >= 5:  # the first core generates the group, and the search stops
+        assert conjugated == 1
+
+
+def test_a_core_inside_the_closure_is_no_generator(monkeypatch):
+    # y^2 + y = x^3 + x over GF(2) (Aut over GF(16)) conjugates three cores,
+    # and the closure of the first already holds the second: two
+    # generators, each outside the closure of those before it
+    E = WeierstrassCurve(F2, 0, 0, 1, 1, 0)
+    red = autmap.reduction_isomorphism(E.base_change(F16)).params
+    calls = []
+    compose_params = autmap._compose_params
+    monkeypatch.setattr(autmap, "_compose_params",
+                        lambda f, g: calls.append(g == red) or compose_params(f, g))
+    G = autmap.automorphism_group(E)
+    assert (G.order, G.field) == (24, F16)
+    assert (sum(calls), len(G.generators)) == (3, 2)
+    for j, g in enumerate(G.generators):
+        assert g not in autmap._subgroup_closure(G.cayley, G.generators[:j])
 
 
 @pytest.mark.parametrize("p,n,coeffs,order,degree", GROUP_SHAPES, ids=SHAPE_IDS)
@@ -492,17 +513,39 @@ def test_subgroup_lattice_costs_one_closure_per_pair_of_cyclic_subgroups(
     assert len(calls) <= order + c * (c - 1) // 2
 
 
-def test_cayley_table_faults_on_a_set_not_closed(monkeypatch, G24):
-    # a full-size set with one element that is no automorphism: its t moved
-    bad = G24.elements[-1]
-    moved = autmap.CurveIsomorphism._derived(
-        bad.field, bad.source, bad.target, bad.u, bad.r, bad.s, bad.t + 1)
-    elements = list(G24.elements[:-1]) + [moved]
-    monkeypatch.setattr(autmap, "find_isomorphisms",
-                        lambda E1, E2, field: elements if field == G24.field else [])
+def test_cayley_table_faults_on_a_set_not_closed(monkeypatch):
+    # a full count of cores none of which is an automorphism: r moved off s^2
+    solve = autmap._reduced_isomorphisms
+    monkeypatch.setattr(autmap, "_reduced_isomorphisms", lambda R1, R2: [
+        (u, r + 1, s, t) for u, r, s, t in solve(R1, R2)])
     with pytest.raises(RuntimeError, match=r"^automorphism group of 0,0,1,0,0 over "
                        r"GF\(2\^2\): automorphism set is not closed under composition$"):
         autmap.automorphism_group(E2)
+
+
+GROUP_CURVES = list(dict.fromkeys(
+    [(p, n, c) for p, n, c, _, _ in GROUP_SHAPES] + oracles.WALK_CURVES))
+CURVE_IDS = [f"{p}^{n}-{c}" for p, n, c in GROUP_CURVES]
+
+
+@pytest.mark.parametrize("p,n,coeffs", GROUP_CURVES, ids=CURVE_IDS)
+def test_group_closure_is_every_isomorphism_of_the_curve(p, n, coeffs):
+    # the closure of a few conjugated cores is the full, sorted search
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    G = autmap.automorphism_group(E)
+    assert list(G.elements) == autmap.find_isomorphisms(E, E, G.field)
+    assert all(G.index_of(f) == i for i, f in enumerate(G.elements))
+
+
+@pytest.mark.parametrize("p,n,coeffs", GROUP_CURVES, ids=CURVE_IDS)
+def test_one_generator_for_p_at_least_5(p, n, coeffs):
+    # for p >= 5, u embeds Aut(E) in the m-th roots of unity, so a core
+    # whose u has order m generates the group on its own
+    G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+    if p >= 5:
+        assert len(G.generators) == 1
+    else:
+        assert 1 <= len(G.generators) <= G.order.bit_length() - 1
 
 
 def test_minimal_degree_limit():

@@ -474,3 +474,35 @@ def test_twisted_walks_match_direct_walks(p, n, coeffs):
             c = twistcoh.Cocycle(A, i)
             assert ((twistcoh.cocycle_order(c), twistcoh.splitting_degree(c))
                     == oracles.cocycle_walk(A, i))
+
+
+@pytest.mark.parametrize("base", [F2, F4], ids=["2^1", "2^2"])
+def test_action_partitions_and_cobounds_once(monkeypatch, G24, base):
+    # the whole group's twisted classes and the coboundary sets are built
+    # on first use; every caller gets its own list
+    A = twistcoh.frobenius_action(G24, base)
+    stable = twistcoh.stable_subgroups(A)
+    partitions, classes = [], autmap._twisted_classes
+    classes_of, twisted_class = [], autmap._twisted_class
+    monkeypatch.setattr(autmap, "_twisted_classes",
+                        lambda G, members, perm: partitions.append(len(members))
+                        or classes(G, members, perm))
+    monkeypatch.setattr(autmap, "_twisted_class",
+                        lambda G, t, members, perm: classes_of.append(t)
+                        or twisted_class(G, t, members, perm))
+    full = twistcoh.frobenius_classes(A)
+    for H in stable:
+        twistcoh.induced_map(A, H)
+    classes_of.clear()
+    degrees = [twistcoh.splitting_degree(twistcoh.Cocycle(A, c.rep_index)) for c in full]
+    # one class per coboundary set, once, then none for the other cocycles
+    assert classes_of == [0] * A.order
+    assert partitions == [24] + [H.order for H in stable]
+    full.clear()
+    assert [c.indices for c in twistcoh.frobenius_classes(A)] == \
+        oracles.twisted_partition(A, range(24))
+    sets = twistcoh._coboundary_sets(A)
+    sets.clear()
+    assert twistcoh._coboundary_sets(A) == oracles.coboundary_sets(A)
+    assert degrees == [twistcoh.splitting_degree(twistcoh.Cocycle(A, c.rep_index))
+                       for c in twistcoh.frobenius_classes(A)]
