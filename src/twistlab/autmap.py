@@ -26,13 +26,15 @@ satisfies it.  Each map is either checked or derived:
   `automorphism_group` compose them with the reduction maps.
 
 Automorphism groups are computed over the minimal extension carrying all
-of them; the search skips every degree that lacks the roots of unity the
-group's u-values need.  The group is the closure of its k <= log2(n)
-generators, a few cores conjugated back to the curve, and keeps one walk
-from the identity, every other element written as a word parent(e) o g_j
-(see `automorphism_group`).  The walk has two readers: the Cayley table,
-filled by k*n compositions and lookups, and in `twistcoh` the Frobenius
-action, which looks up the images of the generators only.
+of them.  Their shape is known from (p, j): u maps Aut(E) onto the m-th
+roots of unity with a kernel of order k (`_aut_shape`), so the search
+tries only the degrees dividing m*k that carry those roots, and the group
+is the closure of at most two cores conjugated back to the curve, one
+whose u has order m and one in the kernel.  It keeps one walk from the
+identity, every other element written as a word parent(e) o g_j (see
+`automorphism_group`).  The walk has two readers: the Cayley table,
+filled by at most 2n compositions and lookups, and in `twistcoh` the
+Frobenius action, which looks up the images of the generators only.
 Structure analysis reads the table through two walks:
 
 - the closure `_subgroup_closure(table, seed)`, the subgroup a seed
@@ -53,10 +55,6 @@ import math
 
 from . import gf
 from .curve import WeierstrassCurve
-
-_AUT_DEGREES_CHAR2 = (1, 2, 3, 4, 6, 8, 12, 24)
-_AUT_DEGREES_ODD = (1, 2, 3, 4, 6, 12)
-
 
 def _fault(E, field, stage, what):
     """An invariant failure that names the curve, the field and the stage."""
@@ -278,7 +276,7 @@ def _reduced_isomorphisms(R1, R2):
     shows, so every tuple satisfies the identity without a test or a
     re-check.  `find_isomorphisms` conjugates every solution by the two
     reduction maps; `automorphism_group` counts them to pick its degree
-    and conjugates only the few its closure needs.
+    and conjugates the one or two that generate the group.
     """
     ctx = R1.ctx
     p = ctx.p
@@ -402,26 +400,21 @@ def minimal_isomorphism_degree(E1, E2, max_degree):
 # ---------------------------------------------------------------------------
 # automorphism groups
 
-def _max_automorphism_order(p, j):
-    if j.is_zero():
-        if p == 2:
-            return 24
-        if p == 3:
-            return 12
-        return 6
-    if p >= 5 and j == j.ctx.scalar(1728):
-        return 4
-    return 2
+# (m, k) by (min(p, 5), j), with None for every j other than 0 and 1728
+# (1728 is 0 in characteristics 2 and 3): u maps Aut(E) onto the m-th roots
+# of unity with a kernel of order k, which is Q8, C3, C2 or trivial
+# (Silverman, AEC, Appendix A)
+_AUT_SHAPES = {
+    (2, 0): (3, 8), (3, 0): (4, 3), (5, 0): (6, 1), (5, 1728): (4, 1),
+    (2, None): (1, 2), (3, None): (2, 1), (5, None): (2, 1),
+}
 
 
-def _unit_order(p, j):
-    """The order m of the group of u-values of Aut(E): the u of every
-    automorphism is an m-th root of unity, and every one occurs."""
-    if j.is_zero():
-        return {2: 3, 3: 4}.get(p, 6)
-    if p >= 5 and j == j.ctx.scalar(1728):
-        return 4
-    return 1 if p == 2 else 2
+def _aut_shape(p, j):
+    """(m, k): Aut(E) has the m-th roots of unity as its u-values, each
+    taken by the k elements of one coset of the kernel of u."""
+    kind = 0 if j.is_zero() else 1728 if j == j.ctx.scalar(1728) else None
+    return _AUT_SHAPES[min(p, 5), kind]
 
 
 class AutGroup:
@@ -430,7 +423,7 @@ class AutGroup:
     `elements` are sorted by parameters, as `find_isomorphisms(E, E,
     field)` sorts them, and `index` maps each element's parameters
     (u, r, s, t) to its position in `elements`.  `generators` are the
-    indices of the group's generators g_0..g_{k-1}, the conjugated cores
+    indices of the group's one or two generators g_j, the conjugated cores
     that built it (see `automorphism_group`), and `walk` lists every
     element e but the identity as (e, parent, j) with e = parent o g_j,
     each parent before the elements it leads to.
@@ -476,30 +469,40 @@ def automorphism_group(E):
     """All automorphisms of E over the separable closure.
 
     Realized over the minimal extension of E's field that carries every
-    automorphism, found by searching extension degrees until the count of
-    cores, the solutions of `_reduced_isomorphisms` from E's short model R
-    to itself, reaches the maximum allowed by (p, j).  The u-values of
-    Aut(E) are the m-th roots of unity for an m fixed by (p, j), so a
-    degree d with m not dividing q^d - 1 cannot carry them all and is
-    skipped unsearched.
+    automorphism.  u is a homomorphism of Aut(E) onto the m-th roots of
+    unity with a kernel of order k, both fixed by (p, j) (`_aut_shape`):
+    Q8 at p = 2 and j = 0, where Aut(E) is SL(2,3); C3 at p = 3 and j = 0;
+    C2 at p = 2 and j != 0; trivial otherwise.  The search counts the
+    cores, the solutions of `_reduced_isomorphisms` from E's short model
+    R to itself, at each degree d until there are m*k of them.  It tries
+    only the divisors d of m*k: Frobenius permutes Aut(E) as a group
+    automorphism, every automorphism of these groups has an order that
+    divides the group order, and the field of Aut(E) has the degree of
+    that permutation's order.  A degree with m not dividing q^d - 1
+    cannot carry the u-values and is skipped unsearched.
 
-    The group is the closure of a few cores, not every core conjugated
-    back to E.  Conjugation by the reduction map red keeps u, and u is a
-    homomorphism of Aut(E) onto the m-th roots of unity, injective for
-    p >= 5; the cores whose u has order m come first, so for p >= 5 the
-    first one generates the group.  One at a time, a core is conjugated
-    as red^-1 o core o red, two compositions, and skipped if the closure
-    holds it already; otherwise it is the next generator g_j, and the
-    closure grows by the products x o g_j until it is closed under every
-    generator.  A generator outside the closure of those before it at
-    least doubles that closure, so k <= log2(n) generators reach all n
-    elements, and the build stops there.  Each product is an entry of
-    the Cayley table, so the build costs 2c + k*n compositions for c
-    cores conjugated.  Closure under the generators proves closure under
+    The group is the closure of at most two cores conjugated back to E as
+    red^-1 o core o red, two compositions each; conjugation by the
+    reduction map red keeps u.  The unit generator, when m > 1, is the
+    first core whose u has order m.  The kernel generator, when k > 1, is
+    the first core with u = 1 and r or s nonzero: not the identity, nor
+    -1 when j = 0, whose r and s are 0 on the short model too.  For p >= 5
+    u is injective and the unit generator alone generates; at p = 2 and
+    j != 0 the kernel generator is -1 and generates C2.  At p = 3 and
+    j = 0 the kernel generator generates the kernel C3 and the unit
+    generator maps onto the units, so the two reach all 12 elements.  In
+    SL(2,3) the unit generator permutes Q8/{1, -1} by a 3-cycle, so the
+    kernel generator's conjugates by its powers generate Q8, and with it
+    the group.
+
+    The closure grows by the products x o g_j, each an entry of the
+    Cayley table, so the build costs 2c + c*n compositions for c
+    generators.  Closure under the generators proves closure under
     composition, because composition of maps is associative and every
     element is a word in the generators; every generator is an
     automorphism, so the n elements reached are all of Aut(E).  A product
-    that would take the closure past n elements is a fault.
+    that would take the closure past m*k elements, or a closure that
+    stops short of it, is a fault.
 
     The closure is sorted by parameters, the order of
     `find_isomorphisms(E, E, field)`, and its products, generators and
@@ -512,11 +515,10 @@ def automorphism_group(E):
     if not E.is_smooth():
         raise ValueError("singular equations have no automorphism group here")
     p = E.ctx.p
-    j = E.j_invariant()
-    target, m = _max_automorphism_order(p, j), _unit_order(p, j)
-    degrees = _AUT_DEGREES_CHAR2 if p == 2 else _AUT_DEGREES_ODD
-    for d in degrees:  # m divides q^d - 1 at the last degree
-        if (E.ctx.q ** d - 1) % m:
+    m, k = _aut_shape(p, E.j_invariant())
+    target = m * k
+    for d in range(1, target + 1):  # m divides q^d - 1 at d = target
+        if target % d or (E.ctx.q ** d - 1) % m:
             continue
         field = gf.field_create(p, E.ctx.n * d)
         S = E.base_change(field)
@@ -528,38 +530,37 @@ def automorphism_group(E):
         raise _fault(E, E.ctx, "automorphism group",
                      f"automorphism search found {len(cores)} of {target} elements")
     one, zero = field.one, field.zero
-    identity = (one, zero, zero, zero)
-    # conjugation keeps u, and u is a homomorphism onto the m-th roots of
-    # unity: cores whose u has order m come first, the identity not at all
-    cores = sorted((c for c in cores if c != identity), key=lambda c: any(
-        c[0] ** (m // ell) == one for ell in (2, 3) if m % ell == 0))
+    picked = []
+    if m > 1:  # u of order m: no u^(m/l) is 1 for a prime l dividing m
+        picked.append(next(c for c in cores if all(
+            c[0] ** (m // ell) != one for ell in (2, 3) if m % ell == 0)))
+    if k > 1:  # u = 1 and (r, s) != (0, 0): not 1, nor -1 when j = 0,
+        # which with the unit generator would generate a cyclic group
+        picked.append(next(c for c in cores if c[0] == one
+                           and not (c[1].is_zero() and c[2].is_zero())))
     red_inv = invert(red)
+    gens = [_compose_params(red_inv.params, _compose_params(c, red.params))
+            for c in picked]
     # params and walk list the closure in the order reached, e = parent o
     # g_j for (e, parent, j) in walk; products[j][x] is the index of x o g_j
-    params, index, walk, products, gens = [identity], {identity: 0}, [], [], []
-    for core in cores:
-        if len(params) == target:
-            break
-        g = _compose_params(red_inv.params, _compose_params(core, red.params))
-        if g in index:
-            continue
-        gens.append(g)
-        products.append([])
-        x = 0
-        while x < len(params):  # each new element times every generator
-            for j, right in enumerate(products):
-                if len(right) == x:
-                    e = _compose_params(params[x], gens[j])
-                    k = index.get(e)
-                    if k is None:
-                        if len(params) == target:
-                            raise _fault(E, field, "automorphism group",
-                                         "automorphism set is not closed under composition")
-                        k = index[e] = len(params)
-                        params.append(e)
-                        walk.append((k, x, j))
-                    right.append(k)
-            x += 1
+    identity = (one, zero, zero, zero)
+    params, index, walk = [identity], {identity: 0}, []
+    products = [[] for _ in gens]
+    for x, a in enumerate(params):  # reaches the elements appended below
+        for j, g in enumerate(gens):
+            e = _compose_params(a, g)
+            i = index.get(e)
+            if i is None:
+                if len(params) == target:
+                    raise _fault(E, field, "automorphism group",
+                                 "automorphism set is not closed under composition")
+                i = index[e] = len(params)
+                params.append(e)
+                walk.append((i, x, j))
+            products[j].append(i)
+    if len(params) < target:
+        raise _fault(E, field, "automorphism group",
+                     f"generators close to {len(params)} of {target} elements")
     # relabel everything in the canonical order of the parameters
     n = len(params)
     order = sorted(range(n), key=params.__getitem__)

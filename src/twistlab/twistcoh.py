@@ -151,10 +151,10 @@ def frobenius_action(G, base):
     The curve is defined over `base`, so the Frobenius image of each
     automorphism's parameters is again an automorphism: `galois_apply`
     would check that identity, and here the images are only looked up.
-    Only the k generators of G are mapped, by 4k Frobenius powers; along
-    G's walk each element e = parent o g_j then has its image
-    Fr(e) = Fr(parent) o Fr(g_j), one Cayley-table lookup (see
-    `FrobAction` for why Fr respects composition).
+    Only the generators of G, at most two, are mapped, by at most 8
+    Frobenius powers; along G's walk each element e = parent o g_j then
+    has its image Fr(e) = Fr(parent) o Fr(g_j), one Cayley-table lookup
+    (see `FrobAction` for why Fr respects composition).
     """
     if base.p != G.field.p or G.field.n % base.n != 0:
         raise ValueError(f"{G.field} does not extend {base}")

@@ -1,8 +1,10 @@
 """Isomorphisms and automorphism groups across characteristics."""
 
+import itertools
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -462,41 +464,16 @@ def test_cayley_table_costs_log_n_compositions_per_element(
         monkeypatch, p, n, coeffs, order, degree):
     E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
     G = autmap.automorphism_group(E)
-    red = autmap.reduction_isomorphism(E.base_change(G.field)).params
-    # a core is conjugated as red^-1 o (core o red), the only composition
-    # whose right factor is red: no generator of Aut(E) is a reduction map
-    calls = []
-    compose_params = autmap._compose_params
-    monkeypatch.setattr(autmap, "_compose_params",
-                        lambda f, g: calls.append(g == red) or compose_params(f, g))
+    calls = _conjugations(monkeypatch, E, G.field)
     H = autmap.automorphism_group(E)
     assert H.cayley == G.cayley
     conjugated = sum(calls)
-    # two compositions per core conjugated, fewer than the n - 1 cores that
-    # are not the identity; each generator at least doubles the closure, so
-    # k <= floor(log2 n), and each costs n compositions, against n^2
-    assert 1 <= conjugated < order
-    assert len(H.generators) <= order.bit_length() - 1
+    # two compositions for each generator, conjugated once, and at most two
+    # generators, each costing n compositions, against n^2
+    assert 1 <= conjugated == len(H.generators) <= 2
     assert len(calls) == 2 * conjugated + len(H.generators) * order
     if p >= 5:  # the first core generates the group, and the search stops
         assert conjugated == 1
-
-
-def test_a_core_inside_the_closure_is_no_generator(monkeypatch):
-    # y^2 + y = x^3 + x over GF(2) (Aut over GF(16)) conjugates three cores,
-    # and the closure of the first already holds the second: two
-    # generators, each outside the closure of those before it
-    E = WeierstrassCurve(F2, 0, 0, 1, 1, 0)
-    red = autmap.reduction_isomorphism(E.base_change(F16)).params
-    calls = []
-    compose_params = autmap._compose_params
-    monkeypatch.setattr(autmap, "_compose_params",
-                        lambda f, g: calls.append(g == red) or compose_params(f, g))
-    G = autmap.automorphism_group(E)
-    assert (G.order, G.field) == (24, F16)
-    assert (sum(calls), len(G.generators)) == (3, 2)
-    for j, g in enumerate(G.generators):
-        assert g not in autmap._subgroup_closure(G.cayley, G.generators[:j])
 
 
 @pytest.mark.parametrize("p,n,coeffs,order,degree", GROUP_SHAPES, ids=SHAPE_IDS)
@@ -514,12 +491,24 @@ def test_subgroup_lattice_costs_one_closure_per_pair_of_cyclic_subgroups(
 
 
 def test_cayley_table_faults_on_a_set_not_closed(monkeypatch):
-    # a full count of cores none of which is an automorphism: r moved off s^2
+    # a full count of cores none of which is an automorphism: s moved off 0,
+    # so the generators' closure passes the 12 elements of Aut(E)
+    solve = autmap._reduced_isomorphisms
+    monkeypatch.setattr(autmap, "_reduced_isomorphisms", lambda R1, R2: [
+        (u, r, s + 1, t) for u, r, s, t in solve(R1, R2)])
+    with pytest.raises(RuntimeError, match=r"^automorphism group of 0,0,0,2,0 over "
+                       r"GF\(3\^2\): automorphism set is not closed under composition$"):
+        autmap.automorphism_group(WeierstrassCurve(F3, 0, 0, 0, 2, 0))
+
+
+def test_cayley_table_faults_on_generators_that_fall_short(monkeypatch):
+    # a full count of cores none of which is an automorphism: r moved off
+    # s^2, so the generators' closure stops short of the 24 elements
     solve = autmap._reduced_isomorphisms
     monkeypatch.setattr(autmap, "_reduced_isomorphisms", lambda R1, R2: [
         (u, r + 1, s, t) for u, r, s, t in solve(R1, R2)])
     with pytest.raises(RuntimeError, match=r"^automorphism group of 0,0,1,0,0 over "
-                       r"GF\(2\^2\): automorphism set is not closed under composition$"):
+                       r"GF\(2\^2\): generators close to 12 of 24 elements$"):
         autmap.automorphism_group(E2)
 
 
@@ -540,12 +529,78 @@ def test_group_closure_is_every_isomorphism_of_the_curve(p, n, coeffs):
 @pytest.mark.parametrize("p,n,coeffs", GROUP_CURVES, ids=CURVE_IDS)
 def test_one_generator_for_p_at_least_5(p, n, coeffs):
     # for p >= 5, u embeds Aut(E) in the m-th roots of unity, so a core
-    # whose u has order m generates the group on its own
-    G = autmap.automorphism_group(WeierstrassCurve(gf.field_create(p, n), *coeffs))
+    # whose u has order m generates the group on its own; for p = 2 and 3,
+    # j = 0 takes one such core and one of the kernel of u, and j != 0
+    # one of the two (the kernel at p = 2, the units at p = 3)
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    G = autmap.automorphism_group(E)
     if p >= 5:
         assert len(G.generators) == 1
     else:
-        assert 1 <= len(G.generators) <= G.order.bit_length() - 1
+        assert len(G.generators) == (2 if E.j_invariant().is_zero() else 1)
+
+
+def _conjugations(monkeypatch, E, field):
+    """A list of the compositions made from now on, True for each core
+    conjugated to E over `field`: red^-1 o (core o red) is the only
+    composition whose right factor is the reduction map red, since no
+    generator of Aut(E) is a reduction map."""
+    red = autmap.reduction_isomorphism(E.base_change(field)).params
+    calls = []
+    compose_params = autmap._compose_params
+    monkeypatch.setattr(autmap, "_compose_params",
+                        lambda f, g: calls.append(g == red) or compose_params(f, g))
+    return calls
+
+
+@pytest.mark.parametrize("p,n,coeffs", GROUP_CURVES, ids=CURVE_IDS)
+def test_generators_are_a_unit_of_order_m_and_a_kernel_element(monkeypatch,
+                                                               p, n, coeffs):
+    # u maps Aut(E) onto the m-th roots of unity with a kernel of order k:
+    # g_1 has u of order m when m > 1, and g_2, when k > 1, has u = 1 and
+    # is not the identity, nor -1 unless Aut(E) is {1, -1}; each generator
+    # is conjugated once
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    field = autmap.automorphism_group(E).field
+    calls = _conjugations(monkeypatch, E, field)
+    G = autmap.automorphism_group(E)
+    m, k = autmap._aut_shape(p, E.j_invariant())
+    gens = [G.elements[g] for g in G.generators]
+    assert sum(calls) == len(gens) == (m > 1) + (k > 1) <= 2
+    if m > 1:
+        u = gens[0].u
+        assert [e for e in range(1, m + 1) if u ** e == field.one] == [m]
+    if k > 1:
+        g = G.generators[-1]
+        assert G.elements[g].u == field.one and g != 0
+        assert (g == G.index_of(autmap.minus_one_map(E, field))) == (G.order == 2)
+
+
+def test_sl23_takes_two_generators(monkeypatch):
+    # the conjugates of a kernel element other than 1 and -1 by the powers
+    # of an order-3 unit generate Q8, so two generators reach SL(2,3)
+    for n, coeffs in itertools.product(range(1, 8), [(0, 0, 1, 0, 0), (0, 0, 1, 1, 0),
+                                                     (0, 0, 1, 1, 1)]):
+        E = WeierstrassCurve(gf.field_create(2, n), *coeffs)
+        field = autmap.automorphism_group(E).field
+        with monkeypatch.context() as patch:
+            calls = _conjugations(patch, E, field)
+            G = autmap.automorphism_group(E)
+        assert (G.order, sum(calls), len(G.generators)) == (24, 2, 2)
+
+
+@pytest.mark.parametrize("p,n,coeffs", GROUP_CURVES, ids=CURVE_IDS)
+def test_units_cover_the_m_th_roots_of_unity_k_times(p, n, coeffs):
+    # the shape certificate: u maps Aut(E) onto the m-th roots of unity with
+    # fibres of k elements, and the degree of the group's field, the order
+    # of Frobenius acting on the group, divides the group's order
+    E = WeierstrassCurve(gf.field_create(p, n), *coeffs)
+    G = autmap.automorphism_group(E)
+    m, k = autmap._aut_shape(p, E.j_invariant())
+    roots = gf.nth_roots(G.field.one, m)
+    assert len(roots) == m
+    assert Counter(f.u for f in G.elements) == dict.fromkeys(roots, k)
+    assert G.order % (G.field.n // E.ctx.n) == 0
 
 
 def test_minimal_degree_limit():

@@ -282,15 +282,16 @@ def test_invariant_failure_names_curve_field_and_stage(capsys):
 
 
 def test_automorphism_invariant_failure_names_curve_field_and_stage(monkeypatch, capsys):
-    # an automorphism search that cannot reach its expected order
-    monkeypatch.setattr(autmap, "_max_automorphism_order", lambda p, j: 5)
+    # an automorphism search that cannot reach its expected order: the
+    # 12 elements of Aut(E) read as 4 units with a kernel of 5
+    monkeypatch.setitem(autmap._AUT_SHAPES, (3, 0), (4, 5))
     rc = cli.main(["twists", "--p", "3", "--curve", "0,0,0,2,0"])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_INTERNAL
     assert captured.out == ""
     assert captured.err == (
         "internal error: automorphism group of 0,0,0,2,0 over GF(3): "
-        "automorphism search found 12 of 5 elements\n")
+        "automorphism search found 12 of 20 elements\n")
 
 
 _MINUS_ONE_3_2 = "(3^2:2,0,3^2:0,0,3^2:0,0,3^2:0,0)@3^2"

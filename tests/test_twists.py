@@ -329,13 +329,46 @@ def test_enumerate_rejects_bad_input():
         twists.enumerate_twists(WeierstrassCurve(F3, 0, 0, 0, 0, 0), F3)
 
 
+# every field with q <= 16
+SMALL_FIELDS = [gf.field_create(p, n) for p, n in
+                ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                 (13, 1), (2, 4))]
+
+
+def _units(F):
+    return gf.enumerate_field(F)[1:]
+
+
+def _odd_curves_of_every_j(F):
+    """One curve y^2 = x^3 + a2*x^2 + a4*x + a6 over an odd-characteristic
+    F for each j other than 0 and 1728, whose Aut(E) is {1, -1}."""
+    elems = gf.enumerate_field(F)
+    curves = {}
+    for a2 in elems:
+        for a4 in elems:
+            for a6 in elems:
+                E = WeierstrassCurve(F, 0, a2, 0, a4, a6)
+                if E.is_smooth():
+                    curves.setdefault(E.j_invariant(), E)
+    for j in (0, 1728):
+        curves.pop(F.scalar(j), None)
+    return list(curves.values())
+
+
 def test_quadratic_twist_square_criterion():
+    # over every odd field with q <= 16 and for every j with Aut(E) = {1, -1},
+    # the twist by d is isomorphic to E over the base exactly when d is a square
+    for F in SMALL_FIELDS:
+        if F.p == 2:
+            continue
+        squares = {x * x for x in _units(F)}
+        for E in _odd_curves_of_every_j(F):
+            for d in _units(F):
+                assert _base_iso(E, twists.quadratic_twist(E, d), F) == (d in squares)
     E = from_short(F5, 1, 1)
-    squares = {x * x for x in gf.enumerate_field(F5)[1:]}
-    for d in gf.enumerate_field(F5)[1:]:
+    for d in _units(F5):
         T = twists.quadratic_twist(E, d)
         assert T == WeierstrassCurve(F5, 0, 0, 0, d * d * E.a4, d ** 3 * E.a6)
-        assert _base_iso(E, T, F5) == (d in squares)
 
 
 def test_quadratic_twist_at_j_1728():
@@ -366,11 +399,17 @@ def test_quadratic_twist_errors():
 
 
 def test_artin_schreier_twist_trace_criterion():
-    for F in (F2, F4, gf.field_create(2, 3)):
-        E = WeierstrassCurve(F2, 1, 0, 0, 0, 1).base_change(F)
-        for d in gf.enumerate_field(F):
-            T = twists.artin_schreier_twist(E, d)
-            assert _base_iso(E, T, F) == (gf.absolute_trace(d) == 0)
+    # over every binary field with q <= 16 and for every j != 0, the curve
+    # y^2 + xy = x^3 + 1/j: the twist by d is isomorphic to E over the base
+    # exactly when d has absolute trace 0
+    for F in SMALL_FIELDS:
+        if F.p != 2:
+            continue
+        for a6 in _units(F):
+            E = WeierstrassCurve(F, 1, 0, 0, 0, a6)
+            for d in gf.enumerate_field(F):
+                T = twists.artin_schreier_twist(E, d)
+                assert _base_iso(E, T, F) == (gf.absolute_trace(d) == 0)
 
 
 def test_artin_schreier_twist_errors():
@@ -395,6 +434,20 @@ def test_unit_twist_classes():
             a = twists.unit_twist(E, m)
             b = twists.unit_twist(E, m * s ** 6)
             assert _base_iso(a, b, F13)
+
+
+def test_unit_twist_sixth_power_criterion():
+    # over every field with p >= 5 and q <= 16, GF(7) and GF(13) among them
+    # with 6 | q - 1, y^2 = x^3 + b*m is isomorphic to y^2 = x^3 + b over
+    # the base exactly when m is a sixth power
+    for F in SMALL_FIELDS:
+        if F.p < 5:
+            continue
+        sixth_powers = {x ** 6 for x in _units(F)}
+        for b in _units(F):
+            E = from_short(F, 0, b)
+            for m in _units(F):
+                assert _base_iso(E, twists.unit_twist(E, m), F) == (m in sixth_powers)
 
 
 def test_unit_twist_errors():
