@@ -6,14 +6,28 @@ A curve is a long Weierstrass equation
 
 with coefficients in one FieldCtx.  Points are None (the point at
 infinity) or (x, y) tuples of field elements.  Everything here is exact.
-A point count is a character sum over the field's canonical ints, one
-walk of q values with no point built; `enumerate_points` is the
-exhaustive listing, for callers that need the points themselves.  A curve
-is never changed after construction, so its discriminant, j-invariant,
-point count and points are each computed once, on first use.
+A point count over a field of at least `_BSGS_MIN_Q` elements is Mestre's
+baby-step giant-step search in the Hasse interval, on a few points of the
+curve and of its quadratic twist, and walks nothing.  Below that size, and
+when the search cannot single the count out, it is a character sum over
+the field's canonical ints, one walk of q values with no point built.
+`enumerate_points` is the exhaustive listing, for callers that need the
+points themselves.  A curve is never changed after construction, so its
+discriminant, j-invariant, point count and points are each computed once,
+on first use.
 """
 
+import itertools
+import math
+
 from . import gf
+
+# Counts over smaller fields walk them: there the character sum, table
+# build included, is faster than the search (per-field timings in
+# CHANGES.md).
+_BSGS_MIN_Q = 1024
+# points of the curve, then of its quadratic twist, that one search tries
+_BSGS_POINTS = 3
 
 
 class WeierstrassCurve:
@@ -99,52 +113,30 @@ class WeierstrassCurve:
 
         The exhaustive listing: it builds every field element and every
         point, so counting uses `point_count` instead.  Each x costs one
-        root step: a square root (None when there is none) for odd p, and
-        for p = 2 the `roots` of w^2 + w = c on one echelon built before
-        the walk.
+        root step (`_columns`).
         """
-        if self._points is not None:
-            return list(self._points)
-        ctx = self.ctx
-        a1, a2, a3, a4, a6 = self.coefficients
-        points = [None]
-        if ctx.p == 2:
-            ech = gf.linearized_echelon(ctx.one)
-            for x in gf.enumerate_field(ctx):
-                rhs = ((x + a2) * x + a4) * x + a6
-                alpha = a1 * x + a3
-                if alpha.is_zero():
-                    # y^2 = rhs: unique root since squaring is bijective
-                    points.append((x, gf.sqrt(rhs)))
-                else:
-                    # substitute y = alpha*w: w^2 + w = rhs / alpha^2
-                    for w in ech.roots(rhs / (alpha * alpha)):
-                        points.append((x, alpha * w))
-        else:
-            inv2 = ctx.scalar(2).inv()
-            for x in gf.enumerate_field(ctx):
-                # complete the square: (y + (a1*x + a3)/2)^2 = rhs + ((a1*x + a3)/2)^2
-                shift = (a1 * x + a3) * inv2
-                rhs = ((x + a2) * x + a4) * x + a6 + shift * shift
-                if rhs.is_zero():
-                    points.append((x, -shift))
-                    continue
-                r = gf.sqrt(rhs)
-                if r is not None:
-                    points.append((x, r - shift))
-                    points.append((x, -r - shift))
-        self._points = points
-        return list(points)
+        if self._points is None:
+            points = [None]
+            for x, ys in _columns(self.ctx, self.coefficients,
+                                  gf.enumerate_field(self.ctx)):
+                points.extend((x, y) for y in ys)
+            self._points = points
+        return list(self._points)
 
     def point_count(self):
         """#E(F_q), the point at infinity included (cached).
 
-        N = 1 + (the number of y at each x, summed over x), which is q + 1
-        plus a character sum, computed on canonical ints with the kernels
-        that read the field's tables (`_walk_kernels`): no point and no
-        `FieldElem` is built.  It walks the q values of x, so it is held
-        to the working limit like `gf.enumerate_field`, and the first walk
-        of a field builds its tables.
+        For a smooth curve over a field of at least `_BSGS_MIN_Q`
+        elements, `_bsgs_count`: it walks nothing and builds no table, and
+        only its baby steps, about 2*q^(1/4), are held to the working
+        limit.  When that search decides nothing,
+        and over smaller fields, N = 1 + (the number of y at each x,
+        summed over x), which is q + 1 plus a character sum, computed on
+        canonical ints with the kernels that read the field's tables
+        (`_walk_kernels`): no point and no `FieldElem` is built.  That sum
+        walks the q values of x, so it is held to the working limit like
+        `gf.enumerate_field`, and the first walk of a field builds its
+        tables.
 
         - Odd p: (2y + a1*x + a3)^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so x
           has 1 + chi(right side) values of y, chi the quadratic
@@ -157,10 +149,15 @@ class WeierstrassCurve:
         """
         if self._count is None:
             ctx = self.ctx
-            gf._walk_tables(ctx)
-            total = (_trace_character_sum(self) if ctx.p == 2
-                     else _quadratic_character_sum(self))
-            self._count = ctx.q + 1 + total
+            count = None
+            if ctx.q >= _BSGS_MIN_Q and self.is_smooth():
+                count = _bsgs_count(self)
+            if count is None:
+                gf._walk_tables(ctx)
+                total = (_trace_character_sum(self) if ctx.p == 2
+                         else _quadratic_character_sum(self))
+                count = ctx.q + 1 + total
+            self._count = count
         return self._count
 
     def trace_of_frobenius(self):
@@ -178,6 +175,177 @@ class WeierstrassCurve:
         return WeierstrassCurve(
             super_ctx, *(gf.subfield_embed(a, super_ctx) for a in self.coefficients)
         )
+
+
+def _negate(a, P):
+    """-P on the long equation with coefficients a (Silverman III.2.3)."""
+    if P is None:
+        return None
+    x, y = P
+    return x, -y - a[0] * x - a[2]
+
+
+def _add(a, P, Q):
+    """P + Q on the long equation with coefficients a (Silverman III.2.3)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    a1, a2, a3, a4, _ = a
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        # Q is P or -P; the denominator is 2*y1 + a1*x1 + a3 when Q = P
+        den = y1 + y2 + a1 * x2 + a3
+        if den.is_zero():
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * (lam + a1) - a2 - x1 - x2
+    return x3, lam * (x1 - x3) - y1 - a1 * x3 - a3
+
+
+def _multiple(a, m, P):
+    """mP for m >= 0, by double-and-add."""
+    R = None
+    for bit in bin(m)[2:]:
+        R = _add(a, R, R)
+        if bit == "1":
+            R = _add(a, R, P)
+    return R
+
+
+def _columns(ctx, a, xs):
+    """(x, every y with (x, y) on the long equation a) for each x of xs.
+
+    One root step per x.  Odd p: complete the square,
+    (y + alpha/2)^2 = rhs + (alpha/2)^2 with alpha = a1*x + a3, then
+    Euler's criterion and a square root.  p = 2: one y when alpha = 0,
+    since squaring is bijective; otherwise y = alpha*w for the roots w of
+    w^2 + w = rhs / alpha^2, on one echelon built before the walk.
+    """
+    a1, a2, a3, a4, a6 = a
+    ech = gf.linearized_echelon(ctx.one) if ctx.p == 2 else None
+    half = ctx.scalar((ctx.p + 1) // 2)  # 1/2 when p is odd
+    for x in xs:
+        rhs = ((x + a2) * x + a4) * x + a6
+        alpha = a1 * x + a3
+        if ech is not None:
+            if alpha.is_zero():
+                yield x, [gf.sqrt(rhs)]
+            else:
+                yield x, [alpha * w for w in ech.roots(rhs / (alpha * alpha))]
+            continue
+        shift = alpha * half
+        rhs = rhs + shift * shift
+        if rhs.is_zero():
+            yield x, [-shift]
+        elif gf.is_square(rhs):
+            r = gf.sqrt(rhs)
+            yield x, [r - shift, -r - shift]
+        else:
+            yield x, []
+
+
+def _points(ctx, a):
+    """Affine points of the long equation a: for each x in canonical order
+    that has a y, (x, the least such y), with x outside GF(p) when n > 1.
+
+    A curve defined over GF(p) has its points with x in GF(p) in
+    E(GF(p^2)), whose orders are too small to decide a count, so for
+    n > 1 the walk starts at the class of x.
+    """
+    xs = map(ctx.from_canon, range(ctx.p if ctx.n > 1 else 0, ctx.q))
+    for x, ys in _columns(ctx, a, xs):
+        if ys:
+            yield x, min(ys)
+
+
+def _twin_coefficients(E):
+    """The long equation of E's quadratic twist E', whose count is
+    2q + 2 - #E.
+
+    Odd p: with d the least non-square, y^2 = d^3 * g(x/d) for g the
+    completed square of E, g = x^3 + (b2/4)x^2 + (b4/2)x + b6/4.  p = 2:
+    with d the least element of trace 1, E's equation plus
+    d*(a1*x + a3)^2 on the right, which flips Tr(c) at every x with
+    a1*x + a3 != 0.
+    """
+    ctx = E.ctx
+    a1, a2, a3, a4, a6 = E.coefficients
+    units = map(ctx.from_canon, range(1, ctx.q))
+    if ctx.p == 2:
+        d = next(u for u in units if gf.absolute_trace(u) == 1)
+        return a1, a2 + d * a1 * a1, a3, a4, a6 + d * a3 * a3
+    d = next(u for u in units if not gf.is_square(u))
+    b2, b4, b6, _ = E.b_invariants()
+    return 0, d * b2 / 4, 0, d * d * b4 / 2, d ** 3 * b6 / 4
+
+
+def _interval_orders(a, P, lo, width):
+    """Every m in [lo, lo + width] with mP = O, ascending, in about
+    2*sqrt(width) group operations; None when P's order is below the
+    number of baby steps, so that too many m qualify to list.
+
+    Baby steps jP, 0 <= j < s, are distinct when no 0 < j < s has jP = O;
+    then m = lo + k*s + j has mP = O exactly when jP = -(lo + k*s)P, which
+    the giant steps look up.
+    """
+    s = math.isqrt(width) + 1
+    baby, R = {}, None
+    for j in range(s):
+        if j and R is None:
+            return None
+        baby[R] = j
+        R = _add(a, R, P)
+    step, G = _negate(a, R), _negate(a, _multiple(a, lo, P))
+    found = []
+    for i in range(0, width + 1, s):
+        j = baby.get(G)
+        if j is not None and i + j <= width:
+            found.append(lo + i + j)
+        G = _add(a, G, step)
+    return found
+
+
+def _bsgs_count(E):
+    """#E(F_q) for a smooth E by Mestre's baby-step giant-step method, or
+    None when its points and its twin's leave more than one candidate.
+
+    Every point P of E has #E * P = O, and #E lies in the Hasse interval
+    [q + 1 - 2*sqrt(q), q + 1 + 2*sqrt(q)], so when exactly one m in the
+    interval has mP = O for every point tried, m is #E (Schoof, JTNB 7,
+    1995, section 3).  The first point whose order is not tiny lists its
+    m by `_interval_orders`; later points keep the candidates m with
+    mP = O.  After `_BSGS_POINTS` points of E (`_points`), as many points
+    of its quadratic twist E' keep the m with (2q + 2 - m)P' = O; by
+    Mestre's theorem, over a prime above 229 one of E and E' has a point
+    that decides (Cremona and Sutherland, JTNB 22, 2010).  The baby steps,
+    about 2*q^(1/4) points held at once, are held to the working limit.
+    """
+    ctx = E.ctx
+    q = ctx.q
+    half = math.isqrt(4 * q)
+    width, limit = 2 * half, gf.working_limit()
+    steps = math.isqrt(width) + 1  # as in `_interval_orders`
+    if steps > limit:
+        raise gf.LimitExceededError(f"counting points over {ctx} takes {steps} "
+                                    f"baby steps, over the limit {limit}")
+    candidates = None
+    for twin in (False, True):
+        a = _twin_coefficients(E) if twin else E.coefficients
+        for P in itertools.islice(_points(ctx, a), _BSGS_POINTS):
+            if candidates is None:
+                found = _interval_orders(a, P, q + 1 - half, width)
+                if found is None:
+                    continue
+                candidates = [2 * q + 2 - m for m in found] if twin else found
+            else:
+                candidates = [m for m in candidates if _multiple(
+                    a, 2 * q + 2 - m if twin else m, P) is None]
+            if len(candidates) == 1:
+                return candidates[0]
+    return None
 
 
 def _quadratic_character_sum(E):

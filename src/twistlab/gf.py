@@ -41,24 +41,28 @@ chosen by its kind (they live in `twistlab.gfkernels`):
 
 Tables.  Following the lookup-table design of the `galois` library
 (https://github.com/mhostetter/galois), the first walk of a whole field,
-an O(q) cost its caller pays anyway (a point count, `enumerate_field`
-for the oracles of the tests), builds exp and log tables over the
-canonical generator, stored as compact arrays indexed by canonical ints,
-plus Zech logs when p is odd and n > 1.  The exp table is one walk of
-the generator, which keeps the running power packed.  The tables serve
-the point-count walks, through the canonical kernels `_walk_kernels`,
-and the discrete log; they never replace the element kernels, so an
-element's `v` keeps its meaning.  Only `enumerate_field`
-also builds the list of every element as a `FieldElem`; a point count
-reads canonical ints and never does.  Fields used only for roots,
-linear algebra and embeddings are never tabled; their discrete logs use
-Pohlig-Hellman.  Importing the module creates no field and builds no
-table.
+an O(q) cost its caller pays anyway (a point count's character sum,
+which `twistlab.curve` takes only below its search threshold or when the
+search decides nothing, and `enumerate_field` for the oracles of the
+tests), builds exp and log tables over the canonical generator, stored
+as compact arrays indexed by canonical ints, plus Zech logs when p is
+odd and n > 1.  The exp table is one walk of the generator, which keeps
+the running power packed.  The tables serve the character sums, through
+the canonical kernels `_walk_kernels`, and the discrete log; they never
+replace the element kernels, so an element's `v` keeps its meaning.
+Only `enumerate_field` also builds the list of every element as a
+`FieldElem`; a character sum reads canonical ints and never does.
+Fields used only for roots, linear algebra, embeddings and point counts
+by the search are never tabled; their discrete logs use Pohlig-Hellman.
+Importing the module creates no field and builds no table.
 
 Limit.  The working limit is the most elements one step may walk; the
 size of a field is not limited.  Three steps walk: a whole field
-(`enumerate_field` and point counts, both through `_walk_tables`),
-`_embedding_root` (a whole subfield) and `_factorize` (trial divisors).
+(`enumerate_field` and a point count's character sum, both through
+`_walk_tables`), `_embedding_root` (a whole subfield) and `_factorize`
+(trial divisors).  A point count by the baby-step giant-step search walks
+no field; it holds only its baby steps, about 2*q^(1/4) points, to the
+limit.
 """
 
 import contextvars
@@ -568,9 +572,14 @@ def is_square(e):
 
 
 def sqrt(e):
-    """The least square root of e, or None; for p == 2 squaring is a
-    bijection and the root is unique.  On a field without tables this
-    costs one Pohlig-Hellman discrete log, for p == 2 too."""
+    """The least square root of e, or None.
+
+    For p == 2 squaring is a bijection of order n, so the root is unique
+    and is one power, e^(2^(n-1)).  For odd p, on a field without tables,
+    it costs one Pohlig-Hellman discrete log."""
+    ctx = e.ctx
+    if ctx.p == 2:
+        return frobenius(e, ctx.n - 1)
     roots = nth_roots(e, 2)
     return roots[0] if roots else None
 

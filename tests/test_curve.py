@@ -5,12 +5,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from twistlab import cli, gf
+from twistlab import cli, curve, gf
 from twistlab.curve import WeierstrassCurve, from_short
 
 from oracles import discriminant_oracle, j_invariant_oracle
+from test_gf_properties import FIELDS as GF_FIELDS
 
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
@@ -302,8 +303,9 @@ def _singular_coefficients(K, rng):
 
 @pytest.mark.parametrize("p,n", COUNT_FIELDS, ids=lambda v: str(v))
 def test_count_equals_the_exhaustive_listing(p, n, monkeypatch):
-    # the character sum against the point list, on three equations: a1 and
-    # a3 nonzero; a1 = 0 (supersingular when p = 2); and a singular one.
+    # the count against the point list, on three equations: a1 and a3
+    # nonzero; a1 = 0 (supersingular when p = 2); and a singular one.  From
+    # q = curve._BSGS_MIN_Q up the smooth ones are counted by the search.
     # Both walks table the field, so it is a private copy: other tests
     # need some of these fields untabled.
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
@@ -323,25 +325,40 @@ def test_count_equals_the_exhaustive_listing(p, n, monkeypatch):
         assert WeierstrassCurve(K, *coeffs).point_count() == listed, coeffs
 
 
-@pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (8191, 1)], ids=lambda v: str(v))
-def test_count_walks_once_under_the_limit_and_builds_no_element_list(p, n, monkeypatch):
-    monkeypatch.setattr(gf, "_CTX_CACHE", {})  # a field no other test has walked
-    K = gf.field_create(p, n)
-    coeffs = (1, 0, 1, 2, 3)
-    token = gf.LIMIT_OVERRIDE.set(K.q - 1)
-    try:
-        with pytest.raises(gf.LimitExceededError):
-            WeierstrassCurve(K, *coeffs).point_count()
-    finally:
-        gf.LIMIT_OVERRIDE.reset(token)
+def _walk_counter(monkeypatch):
     walks = []
     walk = gf._walk_tables
     monkeypatch.setattr(gf, "_walk_tables", lambda ctx: walks.append(ctx) or walk(ctx))
-    E = WeierstrassCurve(K, *coeffs)
-    N = E.point_count()
-    assert walks == [K] and K._log is not None and K._elements is None
+    return walks
+
+
+def _character_sum_count(E):
+    """#E by the character sum, whatever the field size."""
+    ctx = E.ctx
+    gf._walk_tables(ctx)
+    total = (curve._trace_character_sum(E) if ctx.p == 2
+             else curve._quadratic_character_sum(E))
+    return ctx.q + 1 + total
+
+
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (8191, 1)], ids=lambda v: str(v))
+def test_decided_count_builds_no_table_under_a_limit_below_q(p, n, monkeypatch):
+    # above the threshold the baby-step giant-step search decides the count:
+    # no walk, no table, no element list, and a limit below q is no obstacle
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})  # a field no other test has walked
+    K = gf.field_create(p, n)
+    assert K.q >= curve._BSGS_MIN_Q
+    walks = _walk_counter(monkeypatch)
+    E = WeierstrassCurve(K, 1, 0, 1, 2, 3)
+    token = gf.LIMIT_OVERRIDE.set(K.q - 1)
+    try:
+        N = E.point_count()
+    finally:
+        gf.LIMIT_OVERRIDE.reset(token)
+    assert walks == [] and K._log is None and K._elements is None
     # the count is cached: asking again, also through the trace of
-    # Frobenius and supersingularity, walks nothing, even over the limit
+    # Frobenius and supersingularity, searches nothing, even at limit 2
+    monkeypatch.setattr(curve, "_bsgs_count", None)
     token = gf.LIMIT_OVERRIDE.set(2)
     try:
         assert E.point_count() == N
@@ -349,14 +366,101 @@ def test_count_walks_once_under_the_limit_and_builds_no_element_list(p, n, monke
         assert E.is_supersingular() == (N % p == 1)
     finally:
         gf.LIMIT_OVERRIDE.reset(token)
+    assert walks == []
+    assert N == _character_sum_count(WeierstrassCurve(K, 1, 0, 1, 2, 3))
+
+
+def test_search_holds_its_baby_steps_to_the_limit():
+    # over GF(8191) the Hasse interval is 362 wide: 20 baby steps
+    K = gf.field_create(8191)
+    for limit, raises in ((19, True), (20, False)):
+        token = gf.LIMIT_OVERRIDE.set(limit)
+        try:
+            E = WeierstrassCurve(K, 1, 0, 1, 2, 3)
+            if raises:
+                with pytest.raises(gf.LimitExceededError, match="20 baby steps"):
+                    E.point_count()
+            else:
+                assert E.point_count() == curve._bsgs_count(E)
+        finally:
+            gf.LIMIT_OVERRIDE.reset(token)
+
+
+# supersingular curves whose points, and their twins', leave several
+# candidates in the Hasse interval
+UNDECIDED = [(2, 10, (0, 0, 1, 0, 0)), (3, 8, (0, 0, 0, 2, 0))]
+
+
+@pytest.mark.parametrize("p,n,coeffs", UNDECIDED, ids=lambda v: str(v))
+def test_fallback_count_walks_once_under_the_limit_and_builds_no_element_list(
+        p, n, coeffs, monkeypatch):
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})  # a field no other test has walked
+    K = gf.field_create(p, n)
+    assert K.q >= curve._BSGS_MIN_Q
+    assert curve._bsgs_count(WeierstrassCurve(K, *coeffs)) is None
+    token = gf.LIMIT_OVERRIDE.set(K.q - 1)
+    try:
+        with pytest.raises(gf.LimitExceededError):
+            WeierstrassCurve(K, *coeffs).point_count()
+    finally:
+        gf.LIMIT_OVERRIDE.reset(token)
+    walks = _walk_counter(monkeypatch)
+    E = WeierstrassCurve(K, *coeffs)
+    N = E.point_count()
+    assert walks == [K] and K._log is not None and K._elements is None
+    # the count is cached: asking again walks nothing, even over the limit
+    token = gf.LIMIT_OVERRIDE.set(2)
+    try:
+        assert E.point_count() == N
+        assert E.is_supersingular() and (N - K.q - 1) ** 2 <= 4 * K.q
+    finally:
+        gf.LIMIT_OVERRIDE.reset(token)
     assert walks == [K] and K._elements is None
+
+
+# the fields of test_gf_properties.FIELDS with q <= 2^16, tabled in a cache
+# of this module's own so that no other test meets their tables
+ORACLE_FIELDS = sorted({(p, n) for p, n, _ in GF_FIELDS if p ** n <= 1 << 16})
+_ORACLE_CACHE = {}
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS, ids=lambda v: str(v))
+@given(data=st.data())
+def test_search_decides_only_the_character_sum_count(p, n, data):
+    # at every field size, the threshold aside: a decided count is the
+    # character sum's, and an undecided curve gets None, never a guess
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_CTX_CACHE", _ORACLE_CACHE)
+        K = gf.field_create(p, n)
+    coeffs = [K.from_canon(data.draw(st.integers(0, K.q - 1))) for _ in range(5)]
+    E = WeierstrassCurve(K, *coeffs)
+    assume(E.is_smooth())
+    N = _character_sum_count(E)
+    assert curve._bsgs_count(E) in (None, N)
+    # the search's twin is the quadratic twist
+    twin = WeierstrassCurve(K, *curve._twin_coefficients(E))
+    assert twin.is_smooth() and _character_sum_count(twin) == 2 * K.q + 2 - N
+
+
+# curves whose own points leave several candidates, which points of the
+# quadratic twist cut to one
+TWIN_DECIDED = [(2, 12, (0, 0, 1, 0, 0)), (3, 8, (0, 0, 0, 1, 0)),
+                (1031, 1, (1, 0, 1, 0, 1))]
+
+
+@pytest.mark.parametrize("p,n,coeffs", TWIN_DECIDED, ids=lambda v: str(v))
+def test_twin_points_decide_what_the_curve_points_leave_open(p, n, coeffs, monkeypatch):
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})  # the sum below tables the field
+    K = gf.field_create(p, n)
+    E = WeierstrassCurve(K, *coeffs)
+    twins, twin = [], curve._twin_coefficients
+    monkeypatch.setattr(curve, "_twin_coefficients", lambda E: twins.append(E) or twin(E))
+    assert curve._bsgs_count(E) == _character_sum_count(E) and twins == [E]
 
 
 def test_census_walks_each_class_once(monkeypatch, capsys):
     # census reports each class's point count and supersingularity: one walk
-    walks = []
-    walk = gf._walk_tables
-    monkeypatch.setattr(gf, "_walk_tables", lambda ctx: walks.append(ctx) or walk(ctx))
+    walks = _walk_counter(monkeypatch)
     assert cli.main(["census", "--p", "2", "--n", "3", "--json"]) == 0
     count = len(json.loads(capsys.readouterr().out)["classes"])
     assert count > 1 and len(walks) == count

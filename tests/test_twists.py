@@ -1,11 +1,13 @@
 """Twist enumeration, explicit twist families, and the table verifier."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twistlab import autmap, gf, twistcoh, twists
 from twistlab.curve import WeierstrassCurve, from_short
@@ -525,6 +527,45 @@ def test_twist_traces_are_the_cm_conjugates(p):
         units = [a, (a + 3 * b) // 2, (a - 3 * b) // 2] if c == 3 else [a, 2 * b]
         assert (sorted(p + 1 - e.point_count for e in report.entries)
                 == sorted(units + [-t for t in units]))
+
+
+def _norm_form(p, d):
+    """(x, y) with x^2 + d*y^2 = p, by Cornacchia's algorithm (Cohen,
+    GTM 138, Alg. 1.5.2); p = 1 mod 3 for d = 3, p = 1 mod 4 for d = 1."""
+    r = gf.sqrt(gf.field_create(p).scalar(-d)).canon
+    a, b = p, max(r, p - r)
+    while b * b > p:
+        a, b = b, a % b
+    y2, rem = divmod(p - b * b, d)
+    y = math.isqrt(y2)
+    assert rem == 0 and y * y == y2
+    return b, y
+
+
+@settings(max_examples=12)
+@given(bits=st.integers(12, 31), per_mille=st.integers(0, 999))
+@example(bits=31, per_mille=999)
+def test_cm_traces_over_primes_no_walk_reaches(bits, per_mille):
+    # the certificate above, over the first prime p = 1 mod 12 from
+    # 2^(bits - 1) * (1 + per_mille/1000), up to about 2^31, where every
+    # count is the baby-step giant-step search's: the six twists
+    # y^2 = x^3 + g^i and the four y^2 = x^3 + g^i*x, g the generator, are
+    # built directly (enumerate_twists creates extensions GF(p^k), and
+    # creating one factors p^k - 1 by trial division, past the limit for p
+    # this large), and a, b come from Cornacchia's algorithm
+    start = (1 << (bits - 1)) * (1000 + per_mille) // 12000 * 12 + 1
+    p = next(m for m in itertools.count(start, 12) if gf.is_prime(m))
+    F = gf.field_create(p)
+    g = gf.generator(F)
+    x, y = _norm_form(p, 3)  # 4p = (2x)^2 + 3(2y)^2
+    E = WeierstrassCurve(F, 0, 0, 0, 0, 1)
+    traces = [p + 1 - twists.unit_twist(E, g ** i).point_count() for i in range(6)]
+    units = [2 * x, x + 3 * y, x - 3 * y]
+    assert sorted(traces) == sorted(units + [-t for t in units])
+    x, y = _norm_form(p, 1)  # 4p = (2x)^2 + 4y^2
+    traces = [p + 1 - WeierstrassCurve(F, 0, 0, 0, g ** i, 0).point_count()
+              for i in range(4)]
+    assert sorted(traces) == sorted([2 * x, -2 * x, 2 * y, -2 * y])
 
 
 def test_verify_twist_tables():
