@@ -1,9 +1,11 @@
 """Twists of elliptic curves over small finite fields.
 
 Exact arithmetic in GF(p^n), Weierstrass curves with point counts by
-character sums, automorphism groups including the non-abelian characteristic 2
+baby-step giant-step in the Hasse interval (character sums on small
+fields), automorphism groups including the non-abelian characteristic 2
 and 3 cases, Frobenius-twisted conjugacy classes with induced-map and
-capitulation reports, and explicit twist enumeration.
+capitulation reports, canonical models that decide isomorphism over the
+ground field, and explicit twist enumeration.
 """
 
 from .gf import (
@@ -37,6 +39,7 @@ from .twistcoh import (
 from .twists import (
     TwistReport,
     artin_schreier_twist,
+    canonical_model,
     enumerate_twists,
     j_zero_class_census,
     quadratic_twist,
@@ -54,6 +57,6 @@ __all__ = [
     "Cocycle", "FrobClass", "capitulation_report", "cocycle_order",
     "frobenius_action", "frobenius_classes", "induced_map", "resolve_subgroup",
     "splitting_degree", "TwistReport", "artin_schreier_twist",
-    "enumerate_twists", "j_zero_class_census", "quadratic_twist", "unit_twist",
-    "verify_twist_tables", "__version__",
+    "canonical_model", "enumerate_twists", "j_zero_class_census",
+    "quadratic_twist", "unit_twist", "verify_twist_tables", "__version__",
 ]

@@ -47,14 +47,16 @@ search decides nothing, and `enumerate_field` for the oracles of the
 tests), builds exp and log tables over the canonical generator, stored
 as compact arrays indexed by canonical ints, plus Zech logs when p is
 odd and n > 1.  The exp table is one walk of the generator, which keeps
-the running power packed.  The tables serve the character sums, through
-the canonical kernels `_walk_kernels`, and the discrete log; they never
-replace the element kernels, so an element's `v` keeps its meaning.
-Only `enumerate_field` also builds the list of every element as a
+the running power packed.  The tables serve only the character sums,
+through the canonical kernels `_walk_kernels`; they never replace the
+element kernels, so an element's `v` keeps its meaning.  Only
+`enumerate_field` also builds the list of every element as a
 `FieldElem`; a character sum reads canonical ints and never does.
 Fields used only for roots, linear algebra, embeddings and point counts
-by the search are never tabled; their discrete logs use Pohlig-Hellman.
-Importing the module creates no field and builds no table.
+by the search are never tabled.  Discrete logs use Pohlig-Hellman on
+every field, tabled or not, so a log never depends on which fields were
+walked before it.  Importing the module creates no field and builds no
+table.
 
 Limit.  The working limit is the most elements one step may walk; the
 size of a field is not limited.  Three steps walk: a whole field
@@ -224,9 +226,10 @@ class FieldCtx:
     packed digits (p itself for a prime field), and `_pack` and `_unpack`
     convert canonical ints to packed values and back.  None of these is
     read outside `twistlab.gf` and `twistlab.gfkernels`.  A walk of the
-    whole field adds `_exp`, `_log` and
-    `_walk_kernels` (`gfkernels.table_kernels`); `_dlog_steps` keeps the
-    baby-step table of each prime `_subgroup_log` has met.
+    whole field adds `_exp`, `_log` and `_walk_kernels`
+    (`gfkernels.table_kernels`), which serve the character sums only;
+    `_dlog_steps` keeps the baby-step table of each prime `_subgroup_log`
+    has met, for the discrete logs of every field.
     """
 
     __slots__ = (
@@ -488,18 +491,17 @@ def generator(ctx):
 
 
 def _dlog(e):
-    """Discrete log base the canonical generator.
+    """Discrete log base the canonical generator, by Pohlig-Hellman (IEEE
+    Trans. Inf. Theory 24, 1978) on every field, tabled or not, so the
+    answer never depends on which fields earlier calls walked.
 
-    A table lookup on tabled fields.  Elsewhere Pohlig-Hellman (IEEE Trans.
-    Inf. Theory 24, 1978): for each l^k exactly dividing q - 1, the log mod
-    l^k one base-l digit at a time, each digit a log in the subgroup of
-    prime order l < limit^2; the Chinese remainder theorem joins them.
+    For each l^k exactly dividing q - 1, the log mod l^k one base-l digit
+    at a time, each digit a log in the subgroup of prime order
+    l < limit^2; the Chinese remainder theorem joins them.
     """
     ctx = e.ctx
     if e.is_zero():
         raise ZeroDivisionError(f"discrete log of zero in {ctx}")
-    if ctx._log is not None:
-        return ctx._log[e.canon]
     qm1, power, mul = ctx.q - 1, ctx._pow, ctx._mul
     g, x = generator(ctx).v, 0
     for ell, k in ctx._unit_factors.items():
@@ -575,8 +577,8 @@ def sqrt(e):
     """The least square root of e, or None.
 
     For p == 2 squaring is a bijection of order n, so the root is unique
-    and is one power, e^(2^(n-1)).  For odd p, on a field without tables,
-    it costs one Pohlig-Hellman discrete log."""
+    and is one power, e^(2^(n-1)).  For odd p it costs one Pohlig-Hellman
+    discrete log."""
     ctx = e.ctx
     if ctx.p == 2:
         return frobenius(e, ctx.n - 1)

@@ -8,13 +8,18 @@ instead.  That is the label the golden files pin, and a known defect:
 it can give two twists one label (the strict xfail
 `test_twists_of_cubic_twists_over_f3`).
 
-This module finds the least short model of each base-isomorphism class
-of one j-invariant in closed form, from coset minima of the scalings and
-GF(p)-linear echelons of the shifts, so no field is enumerated.  It also
-provides the standard one-parameter twist constructors (quadratic,
-Artin-Schreier, unit), separates twists by point counts, and checks the
-expected count/degree/census tables for characteristic 2 and 3 as
-`check_item` records, the pass/fail lines `twistlab repro --json` prints.
+This module decides isomorphism over the ground field one way:
+`canonical_model(E)` is the least model of E's class, so two curves are
+isomorphic over their field exactly when their canonical models are
+equal.  The least model comes in closed form, from the coset minima of
+the lead's scalings and GF(p)-linear echelons of the shifts, and
+`_short_classes` lists the least model of every class of one
+j-invariant by the same reduction, so no field is enumerated.  The
+module also provides the standard one-parameter twist constructors
+(quadratic, Artin-Schreier, unit), separates twists by point counts,
+and checks the expected count/degree/census tables for characteristic 2
+and 3 as `check_item` records, the pass/fail lines `twistlab repro
+--json` prints.
 """
 
 import math
@@ -55,88 +60,117 @@ class TwistReport:
         return f"TwistReport(base={self.base}, entries={len(self.entries)})"
 
 
-def _scalings(base, k):
-    """The least element of each coset of the k-th powers in base*,
-    ascending, and the u in base with u^k = 1.
+# the weight w of the lead, the first nonzero coefficient of every short
+# model, which (u, r, s, t) scales by u^w, as (j != 0, j == 0) by min(p, 5):
+# a1 = 1 or a3 at p = 2, a2 or a4 at p = 3, a4 or a6 at p >= 5
+_LEAD_WEIGHTS = {2: (1, 3), 3: (2, 4), 5: (4, 6)}
 
-    The cosets are told apart by the power-residue class x^((q-1)/g),
-    g = gcd(k, q - 1), scanning x in canonical order from 1 until all g
-    are met.
+
+def _leads(base, j):
+    """(w, e, minima) for the short models of j-invariant j: w is their
+    lead's weight, and minima maps x^e to the least element x of each
+    coset of the w-th powers in base*, ascending, where
+    e = (q - 1)/gcd(w, q - 1), so x^e names x's coset.
+
+    Scans x in canonical order from 1 until every coset is met.
     """
+    w = _LEAD_WEIGHTS[min(base.p, 5)][j.is_zero()]
     qm1 = base.q - 1
-    g = math.gcd(k, qm1)
+    e = qm1 // math.gcd(w, qm1)
     minima = {}
-    i = 1
-    while len(minima) < g:
-        x = base.from_canon(i)
-        minima.setdefault(x ** (qm1 // g), x)
-        i += 1
-    return list(minima.values()), gf.nth_roots(base.one, k)
+    for x in map(base.from_canon, range(1, base.q)):
+        minima.setdefault(x ** e, x)
+        if len(minima) * e == qm1:
+            return w, e, minima
 
 
-def _short_classes(base, j):
-    """The least short model of each base-isomorphism class of j-invariant j.
+def _least_models(base, j, m, units):
+    """(least, candidates) for the short models of j-invariant j whose
+    least model leads with m.
 
-    The short models are the curves that `autmap.reduction_isomorphism`
-    targets.  Every isomorphism between two of them keeps the shape: it
-    scales a leading coefficient by u^k and shifts the later ones by
-    GF(p)-linear maps.  So the least model of a class, in the tuple order
-    of canonical coefficients, has the least leading coefficient m of its
-    coset of k-th powers, and each later coefficient is the least of its
+    Every isomorphism between two short models keeps the shape: it scales
+    the lead by u^w, w the lead's weight, and shifts the later
+    coefficients by GF(p)-linear maps.  `least` maps a short model whose
+    lead each u in `units` scales to m to the least model of its
+    base-isomorphism class: each later coefficient is the least of its
     coset modulo the image of its shift (`gf.Echelon.reduce`), taken over
-    the u with u^k = 1 that keep m.  Every class has a model with a least
-    leading coefficient and image residues after it; those candidates are
-    reduced, and the distinct least models returned ascending.
+    the units.  `candidates` holds a model with lead m of every class
+    whose least model leads with m, for `units` the u with u^w = 1.  The
+    echelons are built here, once per lead.
     """
-    p = base.p
-    if p == 2 and j.is_zero():
+    zero = base.zero
+    if base.p == 2 and j.is_zero():
         # y^2 + a3 y = x^3 + a4 x + a6: (u, s, t) sends a3 to u^3 a3,
         # a4 to u^4 a4 + s^4 + a3 s and a6 to u^6 a6 + s^2 a4 + s^6 + t^2 + a3 t
         # (new a3 and a4 on the right)
-        prefix, nodes = (0, 0), set()
-        minima, units = _scalings(base, 3)
-        for m in minima:
-            shift4, shift6 = (gf.linearized_echelon(m, k) for k in (2, 1))
-
-            def images(a4, a6):
-                for u in units:
-                    b4, s0 = shift4.reduce(u ** 4 * a4)
-                    for s in shift4.kernel_coset(s0):
-                        yield b4, shift6.reduce(u ** 6 * a6 + s * s * b4 + s ** 6)[0]
-
-            nodes.update((m,) + min(images(a4, a6))
-                         for a4 in shift4.residues() for a6 in shift6.residues())
-    elif p == 2:
+        shift4, shift6 = (gf.linearized_echelon(m, k) for k in (2, 1))
+        return (lambda a: min(
+                    (zero, zero, m, b4, shift6.reduce(u ** 6 * a[4] + s * s * b4 + s ** 6)[0])
+                    for u in units for b4, s0 in [shift4.reduce(u ** 4 * a[3])]
+                    for s in shift4.kernel_coset(s0)),
+                [(zero, zero, m, a4, a6) for a4 in shift4.residues() for a6 in shift6.residues()])
+    if base.p == 2:
         # y^2 + x y = x^3 + a2 x^2 + 1/j; s sends a2 to a2 + s^2 + s
-        prefix, a6 = (1,), j.inv()
-        nodes = {(a2, 0, 0, a6) for a2 in gf.linearized_echelon(base.one).residues()}
-    elif p == 3 and j.is_zero():
+        shift = gf.linearized_echelon(base.one)
+        return (lambda a: (m, shift.reduce(a[1])[0], zero, zero, a[4]),
+                [(m, a2, zero, zero, j.inv()) for a2 in shift.residues()])
+    if base.p == 3 and j.is_zero():
         # y^2 = x^3 + a4 x + a6: (u, r) sends a4 to u^4 a4 and a6 to
         # u^6 a6 - r^3 - a4 r (new a4)
-        prefix, nodes = (0, 0, 0), set()
-        minima, units = _scalings(base, 4)
-        for m in minima:
-            shift = gf.linearized_echelon(m)
-            nodes.update((m, min(shift.reduce(u ** 6 * a6)[0] for u in units))
-                         for a6 in shift.residues())
-    elif p == 3:
-        # y^2 = x^3 + a2 x^2 + a4 x + a6: u scales a2 by u^2 and r shifts a4
-        # by r a2, so each class has a model with a4 = 0, where the
-        # discriminant a2^2 a4^2 - a4^3 - a2^3 a6 = a2^6 / j fixes a6
-        prefix = (0,)
-        nodes = {(m, 0, 0, -m ** 3 / j) for m in _scalings(base, 2)[0]}
-    elif j.is_zero():
-        # y^2 = x^3 + a6: u scales a6 by u^6
-        prefix = (0, 0, 0)
-        nodes = {(0, m) for m in _scalings(base, 6)[0]}
-    else:
+        shift = gf.linearized_echelon(m)
+        return (lambda a: (zero, zero, zero, m,
+                           min(shift.reduce(u ** 6 * a[4])[0] for u in units)),
+                [(zero, zero, zero, m, a6) for a6 in shift.residues()])
+    if base.p > 3 and not j.is_zero():
         # y^2 = x^3 + a4 x + a6: u scales a4 by u^4 and a6 by u^6; a6^2 = c a4^3,
         # so c = 0 gives j = 1728
-        prefix, c = (0, 0, 0), 4 * (1728 - j) / (27 * j)
-        minima, units = _scalings(base, 4)
-        nodes = {(m, min(u ** 6 * a6 for u in units))
-                 for m in minima for a6 in gf.nth_roots(c * m ** 3, 2)}
-    return [WeierstrassCurve(base, *prefix, *node) for node in sorted(nodes)]
+        c = 4 * (1728 - j) / (27 * j)
+        return (lambda a: (zero, zero, zero, m, min(u ** 6 * a[4] for u in units)),
+                [(zero, zero, zero, m, a6) for a6 in gf.nth_roots(c * m ** 3, 2)])
+    # p = 3, y^2 = x^3 + a2 x^2 + a4 x + a6: r shifts a4 by r a2, so each
+    # class has a model with a4 = 0, where the discriminant
+    # a2^2 a4^2 - a4^3 - a2^3 a6 = a2^6 / j fixes a6; p >= 5 with j = 0,
+    # y^2 = x^3 + a6: u scales a6 by u^6.  One model per lead either way.
+    node = (zero, m, zero, zero, -m ** 3 / j) if base.p == 3 else (zero, zero, zero, zero, m)
+    return (lambda a: node), [node]
+
+
+def _short_classes(base, j):
+    """The least short model of each base-isomorphism class of j-invariant j,
+    ascending.
+
+    The short models are the curves that `autmap.reduction_isomorphism`
+    targets.  Every class has a model whose lead is the least element m
+    of its coset of w-th powers; the least models of the candidates of
+    every such m (`_least_models`) are the classes' least models.  No
+    field is enumerated.
+    """
+    w, _, minima = _leads(base, j)
+    units, models = gf.nth_roots(base.one, w), set()
+    for m in minima.values():
+        least, candidates = _least_models(base, j, m, units)
+        models.update(map(least, candidates))
+    return [WeierstrassCurve(base, *a) for a in sorted(models)]
+
+
+def canonical_model(E):
+    """The least model of E's isomorphism class over E's own field.
+
+    Two curves over one field are isomorphic over it exactly when their
+    canonical models are equal.  E is taken to its short model
+    (`autmap.reduction_isomorphism`), whose lead is scaled to the least
+    element m of its coset of w-th powers by every u with u^w = m/lead,
+    and the later coefficients are reduced as `_short_classes` reduces
+    its candidates.  A singular E has no j-invariant and raises
+    ValueError.
+    """
+    base, j = E.ctx, E.j_invariant()
+    w, e, minima = _leads(base, j)
+    R = autmap.reduction_isomorphism(E).target.coefficients
+    lead = next(a for a in R if a)
+    m = minima[lead ** e]
+    least, _ = _least_models(base, j, m, gf.nth_roots(m / lead, w))
+    return WeierstrassCurve(base, *least(R))
 
 
 def _class_data(E, base):
@@ -241,8 +275,8 @@ def artin_schreier_twist(E, d):
 
     E is completed to y^2 + xy = x^3 + a2 x^2 + a6 and a2 is shifted by
     d.  The result is a nontrivial twist exactly when d has absolute
-    trace 1, which callers verify with find_isomorphisms rather than
-    assume.
+    trace 1, which callers verify by comparing `canonical_model`s rather
+    than assume.
     """
     ctx = E.ctx
     if ctx.p != 2:

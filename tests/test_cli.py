@@ -147,7 +147,8 @@ def test_census(capsys):
     assert rc == 0 and doc["count"] == 7
 
 
-@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in range(1, 5)])
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in range(1, 5)]
+                         + [(2, 15), (2, 16), (3, 9), (3, 10)])
 def test_census_matches_golden_files(capsys, p, n):
     rc, out = run(["census", "--p", str(p), "--n", str(n), "--json"], capsys)
     assert rc == 0

@@ -253,8 +253,9 @@ def test_generator_scan_from_p_matches_scan_from_one():
 
 @pytest.mark.parametrize("p,n", SMALL_FIELDS)
 def test_pohlig_hellman_matches_the_log_table(monkeypatch, p, n):
-    # a fresh context is untabled, so _dlog runs Pohlig-Hellman; the log
-    # table built by enumerating a second context is the oracle
+    # _dlog runs Pohlig-Hellman on every field, here on a fresh untabled
+    # context; the log table built by enumerating a second context is the
+    # oracle
     tabled = gf.field_create(p, n)
     gf.enumerate_field(tabled)
     monkeypatch.setattr(gf, "_CTX_CACHE", {})

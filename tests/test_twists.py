@@ -3,11 +3,12 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twistlab import autmap, gf, twistcoh, twists
 from twistlab.curve import WeierstrassCurve, from_short
@@ -205,12 +206,83 @@ def test_orbit_stabilizer_certificate(K):
         for T in short_grid(E, K):
             owners = [R for R in reps if autmap.find_isomorphisms(R, T, K)]
             assert len(owners) == 1, T
+            assert twists.canonical_model(T) == owners[0], T
             fibers[_coefficient_key(owners[0])].append(_coefficient_key(T))
         for R in reps:
             fiber = fibers[_coefficient_key(R)]
             assert min(fiber) == _coefficient_key(R), R
             stabilizer = len(autmap.find_isomorphisms(R, R, K))
             assert len(fiber) * stabilizer == _family_order(K, j), R
+
+
+# one field per shape of short model, up to the largest census fields and
+# a prime near 2^20
+CANONICAL_FIELDS = [(2, 16), (2, 5), (3, 10), (3, 3), (1048573, 1), (13, 2)]
+
+
+@pytest.mark.parametrize("p, n", CANONICAL_FIELDS,
+                         ids=[f"{p}^{n}" for p, n in CANONICAL_FIELDS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_canonical_model_is_invariant_under_isomorphisms(p, n, data):
+    # a long model E and its image under a random (u, r, s, t) over the
+    # base share one canonical model, which is itself a short model
+    # isomorphic to E
+    K = gf.field_create(p, n)
+
+    def element(low=0):
+        return K.from_canon(data.draw(st.integers(low, K.q - 1)))
+
+    shape = data.draw(st.sampled_from(["j0", "1728", "any"]))
+    if shape == "any":
+        E = WeierstrassCurve(K, *(element() for _ in range(5)))
+    else:
+        R = {2: (0, 0, 1, 0, 0), 3: (0, 0, 0, 1, 0)}.get(
+            p, (0, 0, 0, 0, 1) if shape == "j0" else (0, 0, 0, 1, 0))
+        E = WeierstrassCurve(K, *autmap.transform_coefficients(
+            WeierstrassCurve(K, *R).coefficients, element(1), element(), element(), element()))
+    assume(E.is_smooth())
+    params = (element(1), element(), element(), element())
+    image = WeierstrassCurve(K, *autmap.transform_coefficients(E.coefficients, *params))
+    model = twists.canonical_model(E)
+    assert twists.canonical_model(image) == model
+    assert autmap.reduction_isomorphism(model).is_identity()
+    assert twists.canonical_model(model) == model
+    assert autmap.find_isomorphisms(E, model, K)
+
+
+@pytest.mark.parametrize("K", [F2, F4, F8, gf.field_create(2, 4), F3, F9,
+                               F5, F7, F11, F13], ids=repr)
+def test_canonical_models_decide_base_isomorphism(K):
+    # seeded pairs of curves with one j-invariant: equal canonical models
+    # exactly when find_isomorphisms finds an isomorphism over K
+    rng = random.Random(K.q)
+    curves = []
+    while len(curves) < 24:
+        E = WeierstrassCurve(K, *(K.from_canon(rng.randrange(K.q)) for _ in range(5)))
+        if E.is_smooth():
+            curves.append(E)
+    # j = 0 curves too, which have the largest automorphism groups
+    for E in _grid_sources(K):
+        for _ in range(6):
+            u = K.from_canon(rng.randrange(1, K.q))
+            r, s, t = (K.from_canon(rng.randrange(K.q)) for _ in range(3))
+            curves.append(WeierstrassCurve(K, *autmap.transform_coefficients(
+                E.coefficients, u, r, s, t)))
+    models = [twists.canonical_model(E) for E in curves]
+    pairs = 0
+    for (E, M), (F, N) in itertools.combinations(zip(curves, models), 2):
+        if E.j_invariant() == F.j_invariant():
+            pairs += 1
+            assert (M == N) == bool(autmap.find_isomorphisms(E, F, K)), (E, F)
+    assert pairs >= len(curves)
+
+
+def test_canonical_model_rejects_singular_curves():
+    for K, coeffs in ((F2, (0, 0, 0, 0, 0)), (F3, (0, 0, 0, 0, 0)),
+                      (F5, (0, 0, 0, 0, 0)), (F7, (0, 0, 0, -3, 2))):
+        with pytest.raises(ValueError):
+            twists.canonical_model(WeierstrassCurve(K, *coeffs))
 
 
 @pytest.mark.parametrize("p, n, coeffs", [
