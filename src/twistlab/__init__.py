@@ -1,7 +1,7 @@
 """Twists of elliptic curves over small finite fields.
 
 Exact arithmetic in GF(p^n), Weierstrass curves with point counts by
-baby-step giant-step in the Hasse interval (character sums on small
+baby-step giant-step in the Hasse interval (a walk of x on small
 fields), automorphism groups including the non-abelian characteristic 2
 and 3 cases, Frobenius-twisted conjugacy classes with induced-map and
 capitulation reports, canonical models that decide isomorphism over the

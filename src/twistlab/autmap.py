@@ -54,11 +54,11 @@ import itertools
 import math
 
 from . import gf
-from .curve import WeierstrassCurve
+from .curve import WeierstrassCurve, coefficient_strs
 
 def _fault(E, field, stage, what):
     """An invariant failure that names the curve, the field and the stage."""
-    curve = ",".join(gf.element_to_str(a) for a in E.coefficients)
+    curve = ",".join(coefficient_strs(E))
     return RuntimeError(f"{stage} of {curve} over {field}: {what}")
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import autmap, gf, twistcoh, twists
-from .curve import WeierstrassCurve, from_short
+from .curve import WeierstrassCurve, coefficient_strs, from_short
 from .twists import check_item
 
 EXIT_OK = 0
@@ -110,10 +110,6 @@ def _emit(args, data):
             print(line)
 
 
-def _coeff_strs(curve):
-    return [gf.element_to_str(c) for c in curve.coefficients]
-
-
 def cmd_automorphisms(args):
     """Order, field of definition, elements, and structure of Aut(E)."""
     E = _build_curve(args)
@@ -124,7 +120,7 @@ def cmd_automorphisms(args):
         order_hist[o] = order_hist.get(o, 0) + 1
     data = {
         "base": f"{E.ctx.p}^{E.ctx.n}",
-        "curve": _coeff_strs(E),
+        "curve": coefficient_strs(E),
         "order": G.order,
         "field": f"{G.field.p}^{G.field.n}",
         "elements": [autmap.isomorphism_to_str(g) for g in G.elements],
@@ -188,15 +184,13 @@ def cmd_h1(args):
 def cmd_census(args):
     """Count of j = 0 classes over the field, with supersingularity flags."""
     base = _field(args)
-    if base.p not in (2, 3):
-        raise UsageError("census covers characteristic 2 and 3")
     reps = twists.j_zero_class_representatives(base)
     data = {
         "base": f"{base.p}^{base.n}",
         "count": len(reps),
         "classes": [
             {
-                "curve": _coeff_strs(R),
+                "curve": coefficient_strs(R),
                 "points": R.point_count(),
                 "supersingular": R.is_supersingular(),
             }

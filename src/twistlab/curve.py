@@ -9,8 +9,9 @@ infinity) or (x, y) tuples of field elements.  Everything here is exact.
 A point count over a field of at least `_BSGS_MIN_Q` elements is Mestre's
 baby-step giant-step search in the Hasse interval, on a few points of the
 curve and of its quadratic twist, and walks nothing.  Below that size, and
-when the search cannot single the count out, it is a character sum over
-the field's canonical ints, one walk of q values with no point built.
+when the search cannot single the count out, it is one walk of the q
+values of x that counts the y of each with one root test, with no point
+and no element list built.
 `enumerate_points` is the exhaustive listing, for callers that need the
 points themselves.  A curve is never changed after construction, so its
 discriminant, j-invariant, point count and points are each computed once,
@@ -22,10 +23,11 @@ import math
 
 from . import gf
 
-# Counts over smaller fields walk them: there the character sum, table
-# build included, is faster than the search (per-field timings in
-# CHANGES.md).
-_BSGS_MIN_Q = 1024
+# Counts over smaller fields walk them.  Break-even of the walk against the
+# search, median of 20 random curves per field (none undecided): GF(2^5)
+# 0.49 against 0.48 ms, GF(2^6) 0.98 against 0.61 ms, GF(2^7) 2.4 against
+# 0.79 ms, GF(61) 0.51 against 0.41 ms, GF(1021) 8.7 against 0.91 ms.
+_BSGS_MIN_Q = 64
 # points of the curve, then of its quadratic twist, that one search tries
 _BSGS_POINTS = 3
 
@@ -62,7 +64,7 @@ class WeierstrassCurve:
 
     def __repr__(self):
         names = ("a1", "a2", "a3", "a4", "a6")
-        parts = ", ".join(f"{nm}={gf.element_to_str(a)}" for nm, a in zip(names, self.coefficients))
+        parts = ", ".join(f"{nm}={c}" for nm, c in zip(names, coefficient_strs(self)))
         return f"WeierstrassCurve({self.ctx}, {parts})"
 
     # standard quantities attached to the equation
@@ -127,37 +129,17 @@ class WeierstrassCurve:
         """#E(F_q), the point at infinity included (cached).
 
         For a smooth curve over a field of at least `_BSGS_MIN_Q`
-        elements, `_bsgs_count`: it walks nothing and builds no table, and
-        only its baby steps, about 2*q^(1/4), are held to the working
-        limit.  When that search decides nothing,
-        and over smaller fields, N = 1 + (the number of y at each x,
-        summed over x), which is q + 1 plus a character sum, computed on
-        canonical ints with the kernels that read the field's tables
-        (`_walk_kernels`): no point and no `FieldElem` is built.  That sum
-        walks the q values of x, so it is held to the working limit like
-        `gf.enumerate_field`, and the first walk of a field builds its
-        tables.
-
-        - Odd p: (2y + a1*x + a3)^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so x
-          has 1 + chi(right side) values of y, chi the quadratic
-          character: the parity of the log, 0 at 0.
-        - p = 2: with alpha = a1*x + a3, x has one y when alpha = 0
-          (squaring is bijective); otherwise y = alpha*w turns the
-          equation into w^2 + w = c, c = rhs / alpha^2, with two roots
-          when Tr(c) = 0 and none when it is 1.  Tr(c) is the parity of
-          the bits c shares with the field's trace form.
+        elements, `_bsgs_count`: it walks nothing, and only its baby
+        steps, about 2*q^(1/4), are held to the working limit.  When that
+        search decides nothing, and over smaller fields, `_walk_count`,
+        which walks the q values of x and so is held to the working limit
+        like `gf.enumerate_field`.
         """
         if self._count is None:
-            ctx = self.ctx
             count = None
-            if ctx.q >= _BSGS_MIN_Q and self.is_smooth():
+            if self.ctx.q >= _BSGS_MIN_Q and self.is_smooth():
                 count = _bsgs_count(self)
-            if count is None:
-                gf._walk_tables(ctx)
-                total = (_trace_character_sum(self) if ctx.p == 2
-                         else _quadratic_character_sum(self))
-                count = ctx.q + 1 + total
-            self._count = count
+            self._count = _walk_count(self) if count is None else count
         return self._count
 
     def trace_of_frobenius(self):
@@ -175,6 +157,11 @@ class WeierstrassCurve:
         return WeierstrassCurve(
             super_ctx, *(gf.subfield_embed(a, super_ctx) for a in self.coefficients)
         )
+
+
+def coefficient_strs(E):
+    """a1, a2, a3, a4 and a6 of E in the textual element format."""
+    return [gf.element_to_str(a) for a in E.coefficients]
 
 
 def _negate(a, P):
@@ -348,41 +335,44 @@ def _bsgs_count(E):
     return None
 
 
-def _quadratic_character_sum(E):
-    """Sum over x of chi(4x^3 + b2*x^2 + 2*b4*x + b6): odd p, tabled field."""
-    ctx = E.ctx
-    p, q, log = ctx.p, ctx.q, ctx._log
-    b2, b4, b6, _ = E.b_invariants()
-    c3, c2, c1, c0 = 4 % p, b2.canon, (2 * b4).canon, b6.canon
-    if ctx.n == 1:
-        values = ((((c3 * x + c2) * x + c1) * x + c0) % p for x in range(p))
-    else:
-        mul, add, _ = ctx._walk_kernels
-        values = (add(mul(add(mul(add(mul(c3, x), c2), x), c1), x), c0)
-                  for x in range(q))
-    odd = zeros = 0
-    for v in values:
-        if v:
-            odd += log[v] & 1
-        else:
-            zeros += 1
-    return q - zeros - 2 * odd
+def _walk_count(E):
+    """#E as 1 + (the number of y at each x, summed over x), on one walk
+    of the field's elements; no point and no element list is built.
 
-
-def _trace_character_sum(E):
-    """Sum over x with alpha = a1*x + a3 nonzero of (-1)^Tr(rhs / alpha^2):
-    p = 2, tabled field."""
+    - Odd p: with h1 = a1/2 and h3 = a3/2, completing the square gives
+      (y + h1*x + h3)^2 = x^3 + (a2 + h1^2)x^2 + (a4 + 2*h1*h3)x + a6 + h3^2,
+      so x has one y where the right side is 0, two where it is a nonzero
+      square and none elsewhere.
+    - p = 2: with alpha = a1*x + a3, x has one y when alpha = 0 (squaring
+      is bijective); otherwise y = alpha*w turns the equation into
+      w^2 + w = rhs / alpha^2, with two roots when its absolute trace is 0
+      and none when it is 1.
+    """
     ctx = E.ctx
-    (mul, add, inv), form = ctx._walk_kernels, gf._trace_form(ctx)
-    a1, a2, a3, a4, a6 = (a.canon for a in E.coefficients)
-    units = odd = 0
-    for x in range(ctx.q):
-        alpha = add(mul(a1, x), a3)
-        if alpha:
-            rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
-            units += 1
-            odd += (mul(rhs, inv(mul(alpha, alpha))) & form).bit_count() & 1
-    return units - 2 * odd
+    gf._check_walk(ctx)
+    a1, a2, a3, a4, a6 = E.coefficients
+    xs = map(ctx.from_canon, range(ctx.q))
+    ys = 0
+    if ctx.p == 2:
+        trace = gf.absolute_trace
+        for x in xs:
+            alpha = a1 * x + a3
+            if not alpha:
+                ys += 1
+            elif not trace((((x + a2) * x + a4) * x + a6) / (alpha * alpha)):
+                ys += 2
+        return 1 + ys
+    half = ctx.scalar((ctx.p + 1) // 2)
+    h1, h3 = a1 * half, a3 * half
+    c2, c1, c0 = a2 + h1 * h1, a4 + 2 * h1 * h3, a6 + h3 * h3
+    is_square = gf.is_square
+    for x in xs:
+        v = ((x + c2) * x + c1) * x + c0
+        if not v:
+            ys += 1
+        elif is_square(v):
+            ys += 2
+    return 1 + ys
 
 
 def from_short(ctx, a, b):

@@ -15,12 +15,12 @@ vector: digit i in the bit slot i of w bits, so `v` is the vector read
 in radix 2^w (`FieldCtx._radix`).  Digits are below p < 2^w, so packed
 values order, and compare, exactly as canonical indices do; a constant
 packs to itself.  Canonical ints appear only at the boundary: `canon`,
-`from_canon`, `coeffs` and the text format, `generator`'s scan, the
-exp/log tables and the walks that read them.  This module and
-`twistlab.gfkernels` are the only code that knows the packed encoding:
-no other module reads `.v`, builds a `FieldElem` or calls a kernel.
-Elements of one field order by `<` in the canonical order, so other
-modules sort them, take their minima and key dicts on them directly.
+`from_canon`, `coeffs` and the text format, and `generator`'s scan.
+This module and `twistlab.gfkernels` are the only code that knows the
+packed encoding: no other module reads `.v`, builds a `FieldElem` or
+calls a kernel.  Elements of one field order by `<` in the canonical
+order, so other modules sort them, take their minima and key dicts on
+them directly.
 
 Modulus.  `field_create` walks the monic candidates with a nonzero
 constant term in that order.  Each candidate gets a context of its own,
@@ -39,29 +39,14 @@ chosen by its kind (they live in `twistlab.gfkernels`):
   slot-wise add (XOR for p = 2); a power squares and multiplies on
   packed ints and is never unpacked.
 
-Tables.  Following the lookup-table design of the `galois` library
-(https://github.com/mhostetter/galois), the first walk of a whole field,
-an O(q) cost its caller pays anyway (a point count's character sum,
-which `twistlab.curve` takes only below its search threshold or when the
-search decides nothing, and `enumerate_field` for the oracles of the
-tests), builds exp and log tables over the canonical generator, stored
-as compact arrays indexed by canonical ints, plus Zech logs when p is
-odd and n > 1.  The exp table is one walk of the generator, which keeps
-the running power packed.  The tables serve only the character sums,
-through the canonical kernels `_walk_kernels`; they never replace the
-element kernels, so an element's `v` keeps its meaning.  Only
-`enumerate_field` also builds the list of every element as a
-`FieldElem`; a character sum reads canonical ints and never does.
-Fields used only for roots, linear algebra, embeddings and point counts
-by the search are never tabled.  Discrete logs use Pohlig-Hellman on
-every field, tabled or not, so a log never depends on which fields were
-walked before it.  Importing the module creates no field and builds no
-table.
+Discrete logs use Pohlig-Hellman on every field.  Importing the module
+creates no field.
 
 Limit.  The working limit is the most elements one step may walk; the
 size of a field is not limited.  Three steps walk: a whole field
-(`enumerate_field` and a point count's character sum, both through
-`_walk_tables`), `_embedding_root` (a whole subfield) and `_factorize`
+(`enumerate_field` and the point count that `twistlab.curve` makes over
+a small field or when its search decides nothing, both through
+`_check_walk`), `_embedding_root` (a whole subfield) and `_factorize`
 (trial divisors).  A point count by the baby-step giant-step search walks
 no field; it holds only its baby steps, about 2*q^(1/4) points, to the
 limit.
@@ -138,9 +123,9 @@ def _is_field(ctx):
     squarefree product of irreducibles whose degrees divide n, so R is a
     product of fields GF(p^d), d | n.  Then f is irreducible exactly when
     X^(p^(n/l)) - X is a unit of R for every prime l | n, which is
-    Rabin's condition gcd(x^(p^(n/l)) - x, f) = 1.  A candidate context
-    is never tabled, so its `_pow` takes any base, zero included, and any
-    exponent, q - 1 included.
+    Rabin's condition gcd(x^(p^(n/l)) - x, f) = 1.  The packed kernels'
+    `_pow` takes any base, zero included, and any exponent, q - 1
+    included.
 
     Written with the exponent q - 1, the second condition alone already
     forces f to be irreducible, so no test can tell the first one apart.
@@ -225,18 +210,15 @@ class FieldCtx:
     exponent already reduced mod q - 1.  `_radix` is the radix of the
     packed digits (p itself for a prime field), and `_pack` and `_unpack`
     convert canonical ints to packed values and back.  None of these is
-    read outside `twistlab.gf` and `twistlab.gfkernels`.  A walk of the
-    whole field adds `_exp`, `_log` and `_walk_kernels`
-    (`gfkernels.table_kernels`), which serve the character sums only;
-    `_dlog_steps` keeps the baby-step table of each prime `_subgroup_log`
-    has met, for the discrete logs of every field.
+    read outside `twistlab.gf` and `twistlab.gfkernels`.  `_dlog_steps`
+    keeps the baby-step table of each prime `_subgroup_log` has met.
     """
 
     __slots__ = (
         "p", "n", "q", "modulus", "_zero", "_one", "_elements",
-        "_generator", "_unit_factors", "_embed_cache", "_dlog_steps", "_exp",
-        "_log", "_walk_kernels", "_trace_form", "_add", "_sub", "_neg",
-        "_mul", "_inv", "_pow", "_radix", "_pack", "_unpack",
+        "_generator", "_unit_factors", "_embed_cache", "_dlog_steps",
+        "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
+        "_radix", "_pack", "_unpack",
     )
 
     def __init__(self, p, n, modulus):
@@ -251,9 +233,6 @@ class FieldCtx:
         self._unit_factors = None
         self._embed_cache = {}
         self._dlog_steps = {}
-        self._exp = None
-        self._log = None
-        self._walk_kernels = None
         self._trace_form = None
         if n == 1:
             gfkernels.prime_kernels(self)
@@ -442,27 +421,22 @@ class FieldElem:
         return element_to_str(self)
 
 
-def _walk_tables(ctx):
-    """Ready ctx for a walk over all q of its elements.
-
-    Every walk is checked against the working limit, on every call; the
-    first one builds the field's tables.
-    """
+def _check_walk(ctx):
+    """Raise LimitExceededError unless a walk of all q elements of ctx is
+    within the working limit; checked before every such walk."""
     limit = working_limit()
     if ctx.q > limit:
         raise LimitExceededError(f"enumerating {ctx} walks {ctx.q} elements, "
                                  f"over the limit {limit}")
-    if ctx._log is None:
-        gfkernels.table_kernels(ctx, generator(ctx).v)
 
 
 def enumerate_field(ctx):
     """All elements of ctx in canonical order, as a list of `FieldElem`s.
 
-    A walk of q elements (`_walk_tables`); the first call also builds the
+    A walk of q elements (`_check_walk`); the first call also builds the
     element list, which is kept.
     """
-    _walk_tables(ctx)
+    _check_walk(ctx)
     if ctx._elements is None:
         ctx._elements = [FieldElem(ctx, v) for v in map(ctx._pack, range(ctx.q))]
     return list(ctx._elements)
@@ -492,8 +466,7 @@ def generator(ctx):
 
 def _dlog(e):
     """Discrete log base the canonical generator, by Pohlig-Hellman (IEEE
-    Trans. Inf. Theory 24, 1978) on every field, tabled or not, so the
-    answer never depends on which fields earlier calls walked.
+    Trans. Inf. Theory 24, 1978).
 
     For each l^k exactly dividing q - 1, the log mod l^k one base-l digit
     at a time, each digit a log in the subgroup of prime order

@@ -3,15 +3,10 @@
 Each `*_kernels(ctx)` function fills a context's element kernels `_add`,
 `_sub`, `_neg`, `_mul`, `_inv` and `_pow`, which work on the values that
 `FieldElem`s store, and its encoding: `_radix`, `_pack` and `_unpack`
-(see `gf.FieldCtx`).  Only `twistlab.gf` calls them.  `table_kernels`
-builds a field's exp/log tables once it has been enumerated, walking
-the generator's powers on the element kernels, with kernels on
-canonical ints for the walks that read the tables; it leaves the element
-kernels alone.  The module docstring of `twistlab.gf` describes the
-encoding and when each set is used.
+(see `gf.FieldCtx`).  Only `twistlab.gf` calls them.  The module
+docstring of `twistlab.gf` describes the encoding and when each set is
+used.
 """
-
-from array import array
 
 
 def _square_and_multiply(mul):
@@ -150,64 +145,3 @@ def packed_kernels(ctx):
     ctx._pow = pow_
     ctx._radix, ctx._pack, ctx._unpack = 1 << w, pack, unpack
 
-
-def table_kernels(ctx, g):
-    """Exp/log tables over the generator g (an element value), and the
-    kernels on canonical ints that read them.
-
-    exp is one walk of g's powers on the element kernels, the running
-    power packed and each entry unpacked (a prime field's residue is its
-    own entry), then repeated once: it has 2(q - 1) entries, so a sum of
-    two logs needs no reduction.
-    `_walk_kernels` is (mul, add, inv) on canonical ints: the native
-    kernels for prime fields; lookups for n > 1, with XOR as the sum for
-    p = 2 and Zech logs for odd p.
-    """
-    p, q = ctx.p, ctx.q
-    qm1 = q - 1
-    times, unpack, exp, s = ctx._mul, ctx._unpack, array("i"), 1
-    if unpack is int:
-        for _ in range(qm1):
-            exp.append(s)
-            s = times(s, g)
-    else:
-        for _ in range(qm1):
-            exp.append(unpack(s))
-            s = times(s, g)
-    log = array("i", [0]) * q
-    for i, v in enumerate(exp):
-        log[v] = i
-    exp *= 2
-    ctx._exp, ctx._log = exp, log
-    if ctx.n == 1:
-        ctx._walk_kernels = ctx._mul, ctx._add, ctx._inv
-        return
-
-    def mul(a, b):
-        if a and b:
-            return exp[log[a] + log[b]]
-        return 0
-
-    def inv(a):
-        return exp[qm1 - log[a]]
-
-    if p == 2:
-        ctx._walk_kernels = mul, int.__xor__, inv
-        return
-    # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0
-    zech = array("i", [0]) * qm1
-    for i in range(qm1):
-        v = exp[i]
-        v = v + 1 if v % p != p - 1 else v - (p - 1)
-        zech[i] = log[v] if v else -1
-
-    def add(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        la = log[a]
-        z = zech[(log[b] - la) % qm1]
-        return exp[la + z] if z >= 0 else 0
-
-    ctx._walk_kernels = mul, add, inv

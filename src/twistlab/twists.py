@@ -25,7 +25,7 @@ and 3 as `check_item` records, the pass/fail lines `twistlab repro
 import math
 
 from . import autmap, gf, twistcoh
-from .curve import WeierstrassCurve
+from .curve import WeierstrassCurve, coefficient_strs
 
 
 class TwistEntry:
@@ -388,15 +388,12 @@ def verify_twist_tables(p, n):
 
 def twist_report_json(report):
     """JSON-ready form of a TwistReport, with stable key order."""
-    def coeffs(curve):
-        return [gf.element_to_str(c) for c in curve.coefficients]
-
     return {
         "base": f"{report.base.p}^{report.base.n}",
-        "source": coeffs(report.source),
+        "source": coefficient_strs(report.source),
         "twists": [
             {
-                "curve": coeffs(e.curve),
+                "curve": coefficient_strs(e.curve),
                 "class_rep": autmap.isomorphism_to_str(e.frob_class.representative),
                 "split_degree": e.split_degree,
                 "points": e.point_count,

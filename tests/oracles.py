@@ -163,6 +163,53 @@ def smallest_modulus(p, n):
     return next(c for c in modulus_candidates(p, n) if is_irreducible(c, p))
 
 
+@functools.lru_cache(maxsize=None)
+def _two_root_values(ctx):
+    """The c for which the equation of `character_sum_count` has two
+    roots: the nonzero squares for odd p, every w^2 + w for p = 2."""
+    elements = [ctx.from_canon(k) for k in range(ctx.q)]
+    if ctx.p == 2:
+        return frozenset(w * w + w for w in elements)
+    return frozenset(w * w for w in elements if w)
+
+
+def character_sum_count(E):
+    """#E(F_q) as q + 1 plus a character sum over x, by no search and no
+    library root test.  Reference for `WeierstrassCurve.point_count`.
+
+    Odd p: the quadratic character of 4x^3 + b2*x^2 + 2*b4*x + b6, by
+    Euler's criterion on native ints over a prime field and by the set of
+    squares over an extension.  p = 2: over the x with alpha = a1*x + a3
+    nonzero, +1 when rhs / alpha^2 is some w^2 + w and -1 otherwise.
+    """
+    ctx = E.ctx
+    p, q = ctx.p, ctx.q
+    total = 0
+    if p != 2 and ctx.n == 1:
+        b2, b4, b6 = (b.canon for b in E.b_invariants()[:3])
+        for x in range(p):
+            v = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+            if v:
+                total += 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+        return q + 1 + total
+    two_roots = _two_root_values(ctx)
+    xs = [ctx.from_canon(k) for k in range(q)]
+    if p == 2:
+        a1, a2, a3, a4, a6 = E.coefficients
+        for x in xs:
+            alpha = a1 * x + a3
+            if alpha:
+                c = (((x + a2) * x + a4) * x + a6) / (alpha * alpha)
+                total += 1 if c in two_roots else -1
+        return q + 1 + total
+    b2, b4, b6, _ = E.b_invariants()
+    for x in xs:
+        v = ((4 * x + b2) * x + 2 * b4) * x + b6
+        if v:
+            total += 1 if v in two_roots else -1
+    return q + 1 + total
+
+
 def exhaustive_isomorphisms(E1, E2, field):
     """Isomorphism search by direct parameter scan; oracle for small fields.
 

@@ -161,9 +161,12 @@ def test_limit_flag_leaves_environment_unchanged(monkeypatch, capsys, preset):
         monkeypatch.delenv(gf.LIMIT_ENV_VAR, raising=False)
     else:
         monkeypatch.setenv(gf.LIMIT_ENV_VAR, preset)
+    # the counts over GF(2^5) walk its 32 elements; those over GF(2^7) are
+    # searches, so its 128 elements are no obstacle
     for argv, code in ((["census", "--p", "2", "--n", "1"], 0),
-                       (["census", "--p", "2", "--n", "7"], 2)):
-        rc, _ = run(argv + ["--limit", "100"], capsys)
+                       (["census", "--p", "2", "--n", "5"], 2),
+                       (["census", "--p", "2", "--n", "7"], 0)):
+        rc, _ = run(argv + ["--limit", "16"], capsys)
         assert rc == code
         assert os.environ.get(gf.LIMIT_ENV_VAR) == preset
 
@@ -183,11 +186,12 @@ def test_limit_flag_reaches_the_command_without_the_environment(monkeypatch):
 
 
 def test_census_respects_field_limit(monkeypatch, capsys):
-    # the base field GF(2^7) is over the limit of 100
-    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "100")
-    rc, out = run(["census", "--p", "2", "--n", "7"], capsys)
+    # the point counts over GF(2^5), below the search's threshold, walk its
+    # 32 elements: over the limit of 16
+    monkeypatch.setenv(gf.LIMIT_ENV_VAR, "16")
+    rc, out = run(["census", "--p", "2", "--n", "5"], capsys)
     assert rc == 2
-    rc, doc = run_json(["census", "--p", "2", "--n", "7",
+    rc, doc = run_json(["census", "--p", "2", "--n", "5",
                         "--limit", str(1 << 22)], capsys)
     assert rc == 0 and doc["count"] == 3
 

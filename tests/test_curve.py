@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from twistlab import cli, curve, gf
 from twistlab.curve import WeierstrassCurve, from_short
 
-from oracles import discriminant_oracle, j_invariant_oracle
+from oracles import character_sum_count, discriminant_oracle, j_invariant_oracle
 from test_gf_properties import FIELDS as GF_FIELDS
 
 F2 = gf.field_create(2)
@@ -306,8 +306,7 @@ def test_count_equals_the_exhaustive_listing(p, n, monkeypatch):
     # the count against the point list, on three equations: a1 and a3
     # nonzero; a1 = 0 (supersingular when p = 2); and a singular one.  From
     # q = curve._BSGS_MIN_Q up the smooth ones are counted by the search.
-    # Both walks table the field, so it is a private copy: other tests
-    # need some of these fields untabled.
+    # The listing keeps the field's element list, so it is a private copy.
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
     K = gf.field_create(p, n)
     rng = random.Random(p ** n)
@@ -327,24 +326,15 @@ def test_count_equals_the_exhaustive_listing(p, n, monkeypatch):
 
 def _walk_counter(monkeypatch):
     walks = []
-    walk = gf._walk_tables
-    monkeypatch.setattr(gf, "_walk_tables", lambda ctx: walks.append(ctx) or walk(ctx))
+    walk = gf._check_walk
+    monkeypatch.setattr(gf, "_check_walk", lambda ctx: walks.append(ctx) or walk(ctx))
     return walks
-
-
-def _character_sum_count(E):
-    """#E by the character sum, whatever the field size."""
-    ctx = E.ctx
-    gf._walk_tables(ctx)
-    total = (curve._trace_character_sum(E) if ctx.p == 2
-             else curve._quadratic_character_sum(E))
-    return ctx.q + 1 + total
 
 
 @pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (8191, 1)], ids=lambda v: str(v))
 def test_decided_count_builds_no_table_under_a_limit_below_q(p, n, monkeypatch):
     # above the threshold the baby-step giant-step search decides the count:
-    # no walk, no table, no element list, and a limit below q is no obstacle
+    # no walk, no element list, and a limit below q is no obstacle
     monkeypatch.setattr(gf, "_CTX_CACHE", {})  # a field no other test has walked
     K = gf.field_create(p, n)
     assert K.q >= curve._BSGS_MIN_Q
@@ -355,7 +345,7 @@ def test_decided_count_builds_no_table_under_a_limit_below_q(p, n, monkeypatch):
         N = E.point_count()
     finally:
         gf.LIMIT_OVERRIDE.reset(token)
-    assert walks == [] and K._log is None and K._elements is None
+    assert walks == [] and K._elements is None
     # the count is cached: asking again, also through the trace of
     # Frobenius and supersingularity, searches nothing, even at limit 2
     monkeypatch.setattr(curve, "_bsgs_count", None)
@@ -367,7 +357,7 @@ def test_decided_count_builds_no_table_under_a_limit_below_q(p, n, monkeypatch):
     finally:
         gf.LIMIT_OVERRIDE.reset(token)
     assert walks == []
-    assert N == _character_sum_count(WeierstrassCurve(K, 1, 0, 1, 2, 3))
+    assert N == character_sum_count(WeierstrassCurve(K, 1, 0, 1, 2, 3))
 
 
 def test_search_holds_its_baby_steps_to_the_limit():
@@ -407,7 +397,8 @@ def test_fallback_count_walks_once_under_the_limit_and_builds_no_element_list(
     walks = _walk_counter(monkeypatch)
     E = WeierstrassCurve(K, *coeffs)
     N = E.point_count()
-    assert walks == [K] and K._log is not None and K._elements is None
+    assert walks == [K] and K._elements is None
+    assert N == character_sum_count(WeierstrassCurve(K, *coeffs))
     # the count is cached: asking again walks nothing, even over the limit
     token = gf.LIMIT_OVERRIDE.set(2)
     try:
@@ -418,10 +409,8 @@ def test_fallback_count_walks_once_under_the_limit_and_builds_no_element_list(
     assert walks == [K] and K._elements is None
 
 
-# the fields of test_gf_properties.FIELDS with q <= 2^16, tabled in a cache
-# of this module's own so that no other test meets their tables
-ORACLE_FIELDS = sorted({(p, n) for p, n, _ in GF_FIELDS if p ** n <= 1 << 16})
-_ORACLE_CACHE = {}
+# the fields of test_gf_properties.FIELDS with q <= 2^16
+ORACLE_FIELDS = sorted((p, n) for p, n in GF_FIELDS if p ** n <= 1 << 16)
 
 
 @pytest.mark.parametrize("p,n", ORACLE_FIELDS, ids=lambda v: str(v))
@@ -429,17 +418,16 @@ _ORACLE_CACHE = {}
 def test_search_decides_only_the_character_sum_count(p, n, data):
     # at every field size, the threshold aside: a decided count is the
     # character sum's, and an undecided curve gets None, never a guess
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf, "_CTX_CACHE", _ORACLE_CACHE)
-        K = gf.field_create(p, n)
+    K = gf.field_create(p, n)
     coeffs = [K.from_canon(data.draw(st.integers(0, K.q - 1))) for _ in range(5)]
     E = WeierstrassCurve(K, *coeffs)
     assume(E.is_smooth())
-    N = _character_sum_count(E)
+    N = character_sum_count(E)
     assert curve._bsgs_count(E) in (None, N)
+    assert E.point_count() == N
     # the search's twin is the quadratic twist
     twin = WeierstrassCurve(K, *curve._twin_coefficients(E))
-    assert twin.is_smooth() and _character_sum_count(twin) == 2 * K.q + 2 - N
+    assert twin.is_smooth() and character_sum_count(twin) == 2 * K.q + 2 - N
 
 
 # curves whose own points leave several candidates, which points of the
@@ -450,12 +438,11 @@ TWIN_DECIDED = [(2, 12, (0, 0, 1, 0, 0)), (3, 8, (0, 0, 0, 1, 0)),
 
 @pytest.mark.parametrize("p,n,coeffs", TWIN_DECIDED, ids=lambda v: str(v))
 def test_twin_points_decide_what_the_curve_points_leave_open(p, n, coeffs, monkeypatch):
-    monkeypatch.setattr(gf, "_CTX_CACHE", {})  # the sum below tables the field
     K = gf.field_create(p, n)
     E = WeierstrassCurve(K, *coeffs)
     twins, twin = [], curve._twin_coefficients
     monkeypatch.setattr(curve, "_twin_coefficients", lambda E: twins.append(E) or twin(E))
-    assert curve._bsgs_count(E) == _character_sum_count(E) and twins == [E]
+    assert curve._bsgs_count(E) == character_sum_count(E) and twins == [E]
 
 
 def test_census_walks_each_class_once(monkeypatch, capsys):
