@@ -22,8 +22,9 @@ satisfies it.  Each map is either checked or derived:
   The cores of `_reduced_isomorphisms` are plain (u, r, s, t) tuples
   between two short models of one j-invariant, each solving the
   identity's equations one by one (the last equation, where it is not
-  solved, is forced by the equal j); `find_isomorphisms` and
-  `automorphism_group` compose them with the reduction maps.
+  solved, is forced by the equal j); `find_isomorphisms`,
+  `automorphism_group` and the twist labelling in `twists` compose them
+  with the reduction maps.
 
 Automorphism groups are computed over the minimal extension carrying all
 of them.  Their shape is known from (p, j): u maps Aut(E) onto the m-th
@@ -373,28 +374,18 @@ def find_isomorphisms(E1, E2, field):
     return isos
 
 
-def first_isomorphism_degree(E1, E2, degrees):
-    """First d in `degrees` with an isomorphism E1 -> E2 over degree d.
-
-    Returns (d, those isomorphisms), or (None, []) when no listed degree
-    has any.
-    """
-    for d in degrees:
-        ext = gf.field_create(E1.ctx.p, E1.ctx.n * d)
-        isos = find_isomorphisms(E1, E2, ext)
-        if isos:
-            return d, isos
-    return None, []
-
-
 def minimal_isomorphism_degree(E1, E2, max_degree):
-    """Least d <= max_degree with isomorphisms over the degree-d extension.
+    """Least d <= max_degree with isomorphisms over the degree-d extension,
+    by `find_isomorphisms` at d = 1, 2, ... in turn.
 
     Returns None when no such degree exists within the bound.
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError(f"max_degree must be a positive integer, got {max_degree}")
-    return first_isomorphism_degree(E1, E2, range(1, max_degree + 1))[0]
+    for d in range(1, max_degree + 1):
+        if find_isomorphisms(E1, E2, gf.field_create(E1.ctx.p, E1.ctx.n * d)):
+            return d
+    return None
 
 
 # ---------------------------------------------------------------------------

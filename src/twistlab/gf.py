@@ -520,21 +520,32 @@ def _subgroup_log(ctx, h, ell):
 
 
 def nth_roots(e, m):
-    """All x with x^m == e, in canonical order."""
+    """All x with x^m == e, in canonical order.
+
+    For d = gcd(m, q - 1), a nonzero e has m-th roots exactly when
+    e^((q-1)/d) == 1, and that one power is tested before any discrete
+    log: an e without roots costs no log.  Otherwise one root r comes from
+    the log of e, and the d roots are r * zeta^j for zeta = g^((q-1)/d), a
+    primitive d-th root of unity: one product each.
+    """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"root degree must be a positive integer, got {m}")
     ctx = e.ctx
     if e.is_zero():
         return [ctx.zero]
+    power, mul = ctx._pow, ctx._mul
     qm1 = ctx.q - 1
-    g = generator(ctx)
-    k = _dlog(e)
     d = math.gcd(m, qm1)
-    if k % d != 0:
-        return []
     step = qm1 // d
-    e0 = (k // d) * pow(m // d, -1, step) % step if step > 1 else 0
-    return sorted(g ** (e0 + j * step) for j in range(d))
+    if power(e.v, step) != 1:
+        return []
+    g = generator(ctx).v
+    e0 = _dlog(e) // d * pow(m // d, -1, step) % step if step > 1 else 0
+    x, zeta, roots = power(g, e0), power(g, step), []
+    for _ in range(d):
+        roots.append(x)
+        x = mul(x, zeta)
+    return [FieldElem(ctx, v) for v in sorted(roots)]
 
 
 def is_square(e):

@@ -6,7 +6,11 @@ of Aut(E).  For psi from E to a twist T, psi^-1 o Fr(psi) is a cocycle
 value of T's class; `enumerate_twists` labels T with (Fr(psi))^-1 o psi
 instead.  That is the label the golden files pin, and a known defect:
 it can give two twists one label (the strict xfail
-`test_twists_of_cubic_twists_over_f3`).
+`test_twists_of_cubic_twists_over_f3`).  psi is the first map of
+`autmap.find_isomorphisms(E, T, ext)` over the least class split degree
+that has one, found without that search: E is reduced once, and psi is
+the least of the cores from E's short model to T, each composed with
+that reduction.
 
 This module decides isomorphism over the ground field one way:
 `canonical_model(E)` is the least model of E's class, so two curves are
@@ -182,36 +186,65 @@ def _class_data(E, base):
     return group, classes, [twistcoh.splitting_degree(c) for c in cocycles]
 
 
-def _label_class(E, T, base, group, g_classes, degrees):
-    """The class that labels T among the twists of E, plus its split degree.
+def _labels(E, base, group, classes, degrees, reps):
+    """(T, class, split degree) for each twist T in `reps`, in their order:
+    the class that labels T, and the least degree that carries a map E -> T.
 
-    T meets E first over the split degree of its own class, so searching the
-    classes' ascending `degrees` finds it and a psi: E -> T there; forms
-    (Fr(psi))^-1 o psi and locates it in the automorphism group inside a
-    common extension field.  That is the label the golden files pin, not
-    the cocycle value psi^-1 o Fr(psi); see the module docstring.
+    T meets E first over the split degree of its own class, so the
+    classes' ascending `degrees` are searched for the cores
+    (`autmap._reduced_isomorphisms`) from E's short model R to T.  E is
+    reduced once, and R and the reduction red are carried into each
+    extension once.  T is a `_short_classes` model, whose own reduction
+    is the identity, so the maps E -> T are core o red, and psi is the
+    least of them: only the cores that tie on the least u are composed.
+    That psi is `autmap.find_isomorphisms(E, T, ext)[0]`.  The label
+    (Fr(psi))^-1 o psi, with Fr(psi) checked by `autmap.galois_apply`,
+    is looked up in the automorphism group; when psi's field is not a
+    subfield of the group's, the group's parameters are embedded into the
+    common extension once per call and field.  That is the label the
+    golden files pin, not the cocycle value psi^-1 o Fr(psi); see the
+    module docstring.  Labels are yielded one twist at a time, so a fault
+    names the first twist that has one.
     """
-    d, isos = autmap.first_isomorphism_degree(E, T, degrees)
-    if d is None:
-        raise autmap._fault(E, base, "labelling twists",
-                            f"no isomorphism over split degrees {degrees}")
-    psi = isos[0]
-    phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
-    comp = gf.field_create(base.p, math.lcm(phi.field.n, group.field.n))
-    phi_params = autmap.embed_isomorphism(phi, comp).params
-    index = None
-    for k, g in enumerate(group.elements):
-        if autmap.embed_isomorphism(g, comp).params == phi_params:
-            index = k
-            break
-    if index is None:
-        raise autmap._fault(E, base, "labelling twists",
-                            "twist label is not an automorphism of the source")
-    for cls in g_classes:
-        if index in cls.indices:
-            return cls, d
-    raise autmap._fault(E, base, "labelling twists",
-                        "automorphism missing from the class partition")
+    red = autmap.reduction_isomorphism(E)
+    exts = []
+    for d in degrees:
+        ext = gf.field_create(base.p, base.n * d)
+        exts.append((d, ext, E.base_change(ext), red.target.base_change(ext),
+                     tuple(gf.subfield_embed(x, ext) for x in red.params)))
+    class_of = {i: cls for cls in classes for i in cls.indices}
+    tables = {}
+    for T in reps:
+        for d, ext, S, R, red_params in exts:
+            T_ext = T.base_change(ext)
+            cores = list(autmap._reduced_isomorphisms(R, T_ext))
+            if cores:
+                break
+        else:
+            raise autmap._fault(E, base, "labelling twists",
+                                f"no isomorphism over split degrees {degrees}")
+        units = [c[0] * red_params[0] for c in cores]
+        least = min(units)
+        psi = autmap.CurveIsomorphism._derived(ext, S, T_ext, *min(
+            autmap._compose_params(c, red_params)
+            for c, u in zip(cores, units) if u == least))
+        phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
+        comp = gf.field_create(base.p, math.lcm(ext.n, group.field.n))
+        key = tuple(gf.subfield_embed(x, comp) for x in phi.params)
+        if comp is group.field:
+            index = group.index_of_params(key)
+        else:
+            if comp not in tables:
+                tables[comp] = {tuple(gf.subfield_embed(x, comp) for x in g.params): k
+                                for k, g in enumerate(group.elements)}
+            index = tables[comp].get(key)
+        if index is None:
+            raise autmap._fault(E, base, "labelling twists",
+                                "twist label is not an automorphism of the source")
+        if index not in class_of:
+            raise autmap._fault(E, base, "labelling twists",
+                                "automorphism missing from the class partition")
+        yield T, class_of[index], d
 
 
 def enumerate_twists(E, base):
@@ -219,9 +252,13 @@ def enumerate_twists(E, base):
 
     Takes the base-isomorphism classes of the short models with j(E) from
     `_short_classes`, each represented by its least model; their number
-    must be the number of twisted classes.  Each representative is
-    labelled by `_label_class`.  Entries follow the class order, trivial
-    class first.
+    must be the number of twisted classes.  `_labels` labels them all in
+    one pass: each twist T gets the least class split degree d with a map
+    psi: E -> T, psi the least such map there (the first of
+    `autmap.find_isomorphisms`), taken as the least of the cores between
+    the short models, each composed with E's reduction, and the class of
+    (Fr(psi))^-1 o psi.  Entries follow the class order, trivial class
+    first.
     """
     if base.p != E.ctx.p or base.n % E.ctx.n != 0:
         raise ValueError(f"{base} does not extend {E.ctx}")
@@ -235,8 +272,7 @@ def enumerate_twists(E, base):
         raise autmap._fault(E, base, "finding twists", f"{len(reps)} short-model "
                             f"classes for {len(g_classes)} twisted classes")
     by_class = {}
-    for T in reps:
-        cls, degree = _label_class(E, T, base, group, g_classes, degrees)
+    for T, cls, degree in _labels(E, base, group, g_classes, degrees, reps):
         if cls.rep_index in by_class:
             raise autmap._fault(E, base, "labelling twists",
                                 "two non-isomorphic curves received one class label")

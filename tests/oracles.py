@@ -1,10 +1,12 @@
 """Reference implementations that only the tests compare against."""
 
 import functools
+import math
 
 from twistlab import gf
 from twistlab.autmap import (
-    CurveIsomorphism, compose, find_isomorphisms, transform_coefficients,
+    CurveIsomorphism, compose, embed_isomorphism, find_isomorphisms, galois_apply,
+    invert, transform_coefficients,
 )
 from twistlab.curve import WeierstrassCurve
 
@@ -305,6 +307,33 @@ def grid_class_representatives(E, base):
         if not any(find_isomorphisms(R, T, base) for R in reps):
             reps.append(T)
     return reps
+
+
+def label_oracle(E, T, base, group, classes, degrees):
+    """The (class, degree) that labels the twist T of E over `base`, by one
+    full isomorphism search per twist and degree.  Reference for
+    `twists._labels`.
+
+    d is the first of the class degrees `degrees` over which
+    `find_isomorphisms(E, T, ext)` finds a map, psi is the first map it
+    finds, and (Fr(psi))^-1 o psi is located by a scan of the automorphism
+    group, each element embedded into a common extension with psi's
+    field.  The class is None when no element matches, and both are None
+    when no listed degree has a map.
+    """
+    for d in degrees:
+        isos = find_isomorphisms(E, T, gf.field_create(base.p, base.n * d))
+        if isos:
+            break
+    else:
+        return None, None
+    psi = isos[0]
+    phi = compose(invert(galois_apply(psi, base)), psi)
+    comp = gf.field_create(base.p, math.lcm(phi.field.n, group.field.n))
+    key = embed_isomorphism(phi, comp).params
+    index = next((k for k, g in enumerate(group.elements)
+                  if embed_isomorphism(g, comp).params == key), None)
+    return next((cls for cls in classes if index in cls.indices), None), d
 
 
 def assert_transforms(f):

@@ -320,15 +320,37 @@ def test_squares_and_sqrt(p, n):
         assert len(squares) == (ctx.q + 1) // 2
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (2, 4), (7, 1)])
+# every field with q <= 256
+FIELDS_TO_256 = sorted(((p, n) for p in range(2, 257) if gf.is_prime(p)
+                        for n in range(1, 9) if p ** n <= 256), key=lambda f: f[0] ** f[1])
+
+
+@pytest.mark.parametrize("p,n", FIELDS_TO_256)
 def test_nth_roots_match_scan(p, n):
+    # every e and every m in 1..13, q - 1 and q + 1: the roots are the
+    # sorted x with x^m == e, by one scan of the field per m
     ctx = gf.field_create(p, n)
     els = gf.enumerate_field(ctx)
-    for m in range(1, 9):
+    for m in [*range(1, 14), ctx.q - 1, ctx.q + 1]:
+        want = {e: [] for e in els}
+        for x in els:
+            want[x ** m].append(x)
         for e in els:
-            want = sorted(x.canon for x in els if x ** m == e)
-            got = sorted(x.canon for x in gf.nth_roots(e, m))
-            assert got == want, (p, n, m, e.canon)
+            assert gf.nth_roots(e, m) == want[e], (m, e)
+
+
+def test_non_residue_takes_no_discrete_log(monkeypatch):
+    # e^((q-1)/gcd(m, q-1)) != 1 decides "no root" before any log
+    def no_log(e):
+        raise AssertionError(f"discrete log of {e}")
+
+    monkeypatch.setattr(gf, "_dlog", no_log)
+    for (p, n), e, m in (((7, 1), 3, 2), ((13, 1), 2, 3), ((2, 4), [0, 1, 0, 0], 3),
+                         ((3, 2), [0, 1], 4), ((1048573, 1), 2, 2)):
+        ctx = gf.field_create(p, n)
+        assert gf.nth_roots(ctx.element(e), m) == []
+    with pytest.raises(AssertionError, match="discrete log"):
+        gf.nth_roots(gf.field_create(7, 1).scalar(2), 2)  # 2 = 3^2 has roots
 
 
 @pytest.mark.parametrize("p,n,k", [(3, 2, 1), (2, 3, 1), (2, 3, 2), (3, 1, 1), (2, 4, 2)])

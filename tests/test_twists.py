@@ -111,29 +111,10 @@ def test_twist_invariants_wider(E, degrees):
 
 
 @pytest.mark.parametrize("E", [E2, E3.base_change(F9)], ids=["j0/2^1", "j0/3^2"])
-def test_labelling_searches_only_class_split_degrees(E, monkeypatch):
-    # each twist is searched once per class split degree, ascending, up to
-    # its own; no other degree and no degree twice
+def test_labelling_searches_only_class_split_degrees(E):
+    # each twist's split degree is the least class split degree with an
+    # isomorphism E -> T: none over a smaller class degree, some over its own
     base = E.ctx
-    searched = []
-    labelling = []
-    find = autmap.find_isomorphisms
-    label = twists._label_class
-
-    def counted_find(E1, E2, field):
-        if labelling:
-            searched.append((E2, field.n // base.n))
-        return find(E1, E2, field)
-
-    def flagged_label(*args):
-        labelling.append(True)
-        try:
-            return label(*args)
-        finally:
-            labelling.pop()
-
-    monkeypatch.setattr(autmap, "find_isomorphisms", counted_find)
-    monkeypatch.setattr(twists, "_label_class", flagged_label)
     report = twists.enumerate_twists(E, base)
     A = twistcoh.frobenius_action(autmap.automorphism_group(E), base)
     class_degrees = {
@@ -141,8 +122,89 @@ def test_labelling_searches_only_class_split_degrees(E, monkeypatch):
         for c in twistcoh.frobenius_classes(A)
     }
     for e in report.entries:
-        tried = [d for T, d in searched if T == e.curve]
-        assert tried == sorted(d for d in class_degrees if d <= e.split_degree)
+        assert e.split_degree in class_degrees
+        for d in sorted(d for d in class_degrees if d <= e.split_degree):
+            ext = gf.field_create(base.p, base.n * d)
+            found = autmap.find_isomorphisms(E, e.curve, ext)
+            assert bool(found) == (d == e.split_degree), (e.curve, d)
+
+
+def _golden_sources():
+    """The source curve of every `twists_*` golden file."""
+    for path in sorted(GOLDEN.glob("twists_*.json")):
+        data = json.loads(path.read_text())
+        K = gf.field_create(*map(int, data["base"].split("^")))
+        yield WeierstrassCurve(K, *(gf.element_from_str(a, K) for a in data["source"]))
+
+
+def _random_models(K, rng):
+    """Seeded random models of a j = 0 curve, of a j = 1728 curve when
+    p >= 5, and of a generic curve over K."""
+    def element(low=0):
+        return K.from_canon(rng.randrange(low, K.q))
+
+    c = element(1)
+    shorts = {2: [(0, 0, c, element(), element())],
+              3: [(0, 0, 0, c, element())]}.get(K.p, [(0, 0, 0, 0, c), (0, 0, 0, c, 0)])
+    models = [WeierstrassCurve(K, *autmap.transform_coefficients(
+                  tuple(map(K.element, a)), element(1), element(), element(), element()))
+              for a in shorts]
+    while True:
+        E = WeierstrassCurve(K, *(element() for _ in range(5)))
+        if E.is_smooth() and E.j_invariant() not in (0, 1728):
+            return models + [E]
+
+
+LABEL_FIELDS = ([(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
+                + [(5, 2), (7, 2)] + [(p, 1) for p in range(5, 48) if gf.is_prime(p)])
+
+
+def test_labels_match_the_per_twist_oracle():
+    # every twist gets the class and degree of one full isomorphism search
+    # per twist and class degree (`oracles.label_oracle`); where that
+    # search finds no label, or gives two twists one, the enumeration
+    # refuses at the same twist
+    rng = random.Random(11)
+    sources = list(_golden_sources())
+    for p, n in LABEL_FIELDS:
+        sources += _random_models(gf.field_create(p, n), rng)
+    for E in sources:
+        base = E.ctx
+        group, classes, class_degrees = twists._class_data(E, base)
+        degrees = sorted(set(class_degrees))
+        reps = twists._short_classes(base, E.j_invariant())
+        want = {T: oracles.label_oracle(E, T, base, group, classes, degrees) for T in reps}
+        seen, fault = set(), None
+        for cls, d in want.values():
+            fault = ("no isomorphism" if d is None else "not an automorphism" if cls is None
+                     else "one class label" if cls in seen else None)
+            if fault:
+                break
+            seen.add(cls)
+        if fault:
+            with pytest.raises(RuntimeError, match=fault):
+                twists.enumerate_twists(E, base)
+            continue
+        report = twists.enumerate_twists(E, base)
+        assert {e.curve: (e.frob_class, e.split_degree) for e in report.entries} == want, E
+
+
+SHORT_MODEL_FIELDS = [(p, n) for p in range(2, 65) if gf.is_prime(p)
+                      for n in range(1, 7) if p ** n <= 64]
+
+
+@pytest.mark.parametrize("p,n", SHORT_MODEL_FIELDS,
+                         ids=[f"{p}^{n}" for p, n in SHORT_MODEL_FIELDS])
+def test_short_models_are_their_own_reductions(p, n):
+    # the labelling takes a twist's reduction to be the identity; j = 0,
+    # j = 1728 where it is not 0, and the least other j
+    K = gf.field_create(p, n)
+    js = [K.zero, K.scalar(1728)] if K.scalar(1728) else [K.zero]
+    js.append(next(j for j in map(K.from_canon, range(1, K.q)) if j not in js))
+    for j in js:
+        for T in twists._short_classes(K, j):
+            assert T.j_invariant() == j
+            assert autmap.reduction_isomorphism(T).params == (1, 0, 0, 0), T
 
 
 def _grid_sources(K):
