@@ -63,7 +63,7 @@ def _regroup_tokens(text, count):
     return literals
 
 
-def _parse_elements(text, ctx, count):
+def _parse_literals(text, ctx, count):
     return [gf.element_from_str(lit, ctx) for lit in _regroup_tokens(text, count)]
 
 
@@ -78,10 +78,10 @@ def _build_curve(args):
     if args.curve is not None and args.short is not None:
         raise UsageError("give --curve or --short, not both")
     if args.curve is not None:
-        coeffs = _parse_elements(args.curve, ctx, 5)
+        coeffs = _parse_literals(args.curve, ctx, 5)
         E = WeierstrassCurve(ctx, *coeffs)
     elif args.short is not None:
-        a, b = _parse_elements(args.short, ctx, 2)
+        a, b = _parse_literals(args.short, ctx, 2)
         E = from_short(ctx, a, b)
     else:
         raise UsageError("a curve is required: --curve '[a1,a2,a3,a4,a6]' or --short 'a,b'")
@@ -154,7 +154,7 @@ def _resolve_subgroup(action, text):
             raise UsageError(f"bad generator literal {text!r}")
         p_str, _, m_str = field_lit.partition("^")
         field = gf.field_create(int(p_str), int(m_str) if m_str else 1)
-        params = _parse_elements(body[1:-1], field, 4)
+        params = _parse_literals(body[1:-1], field, 4)
         group = action.group
         if field != group.field:
             raise UsageError(

@@ -313,11 +313,9 @@ def _bsgs_count(E):
     ctx = E.ctx
     q = ctx.q
     half = math.isqrt(4 * q)
-    width, limit = 2 * half, gf.working_limit()
+    width = 2 * half
     steps = math.isqrt(width) + 1  # as in `_interval_orders`
-    if steps > limit:
-        raise gf.LimitExceededError(f"counting points over {ctx} takes {steps} "
-                                    f"baby steps, over the limit {limit}")
+    gf._check_walk(steps, f"counting points over {ctx} takes {steps} baby steps")
     candidates = None
     for twin in (False, True):
         a = _twin_coefficients(E) if twin else E.coefficients
@@ -349,9 +347,8 @@ def _walk_count(E):
       and none when it is 1.
     """
     ctx = E.ctx
-    gf._check_walk(ctx)
+    xs = gf._field_walk(ctx)
     a1, a2, a3, a4, a6 = E.coefficients
-    xs = map(ctx.from_canon, range(ctx.q))
     ys = 0
     if ctx.p == 2:
         trace = gf.absolute_trace

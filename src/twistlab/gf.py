@@ -14,13 +14,16 @@ that is the residue itself.  For n > 1 it is the Kronecker-packed
 vector: digit i in the bit slot i of w bits, so `v` is the vector read
 in radix 2^w (`FieldCtx._radix`).  Digits are below p < 2^w, so packed
 values order, and compare, exactly as canonical indices do; a constant
-packs to itself.  Canonical ints appear only at the boundary: `canon`,
-`from_canon`, `coeffs` and the text format, and `generator`'s scan.
-This module and `twistlab.gfkernels` are the only code that knows the
-packed encoding: no other module reads `.v`, builds a `FieldElem` or
-calls a kernel.  Elements of one field order by `<` in the canonical
-order, so other modules sort them, take their minima and key dicts on
-them directly.
+packs to itself.  Canonical ints appear only at the boundary, and this
+module alone converts them: `canon` and `from_canon` read and write the
+digits in base p and in radix 2^w (`_digits`, `_from_digits`), and
+`coeffs` and the text format read the digits themselves.  Every walk in
+canonical order (`generator`'s scan, `enumerate_field` and the point
+count's walk of x) goes through `from_canon`.  `twistlab.gfkernels`
+knows only the packed values and their radix.  No other module reads
+`.v`, builds a `FieldElem` or calls a kernel.  Elements of one field
+order by `<` in the canonical order, so other modules sort them, take
+their minima and key dicts on them directly.
 
 Modulus.  `field_create` walks the monic candidates with a nonzero
 constant term in that order.  Each candidate gets a context of its own,
@@ -42,18 +45,20 @@ chosen by its kind (they live in `twistlab.gfkernels`):
 Discrete logs use Pohlig-Hellman on every field.  Importing the module
 creates no field.
 
-Limit.  The working limit is the most elements one step may walk; the
-size of a field is not limited.  Three steps walk: a whole field
-(`enumerate_field` and the point count that `twistlab.curve` makes over
-a small field or when its search decides nothing, both through
-`_check_walk`), `_embedding_root` (a whole subfield) and `_factorize`
-(trial divisors).  A point count by the baby-step giant-step search walks
-no field; it holds only its baby steps, about 2*q^(1/4) points, to the
-limit.
+Limit.  The working limit is the most elements one step may walk or
+hold; the size of a field is not limited.  Four steps are held to it: a
+whole field (`enumerate_field` and the point count that `twistlab.curve`
+makes over a small field or when its search decides nothing, both
+through `_field_walk`), `_embedding_root` (a whole subfield), the baby
+steps of a point count by the baby-step giant-step search (about
+2*q^(1/4) points, held at once; the search walks no field) and
+`_factorize` (trial divisors).  The first three call `_check_walk`
+before they start; `_factorize` checks each divisor as it goes.
 """
 
 import contextvars
 import math
+import operator
 import os
 
 from . import gfkernels
@@ -70,7 +75,7 @@ class LimitExceededError(Exception):
 
 
 def working_limit():
-    """Current working limit: the most elements any one step may walk.
+    """Current working limit: the most elements any one step may walk or hold.
 
     The value set in `LIMIT_OVERRIDE` wins; then TWISTLAB_LIMIT; then
     DEFAULT_LIMIT.
@@ -208,17 +213,18 @@ class FieldCtx:
     `_add`, `_sub`, `_neg`, `_mul`, `_inv` and `_pow` are the field's
     element kernels, on packed values; `_pow` takes a nonzero base and an
     exponent already reduced mod q - 1.  `_radix` is the radix of the
-    packed digits (p itself for a prime field), and `_pack` and `_unpack`
-    convert canonical ints to packed values and back.  None of these is
-    read outside `twistlab.gf` and `twistlab.gfkernels`.  `_dlog_steps`
-    keeps the baby-step table of each prime `_subgroup_log` has met.
+    packed digits (p itself for a prime field).  `twistlab.gfkernels`
+    sets all seven and works on packed values only; `from_canon` and
+    `FieldElem.canon` convert canonical ints here, digit by digit.  None
+    of these is read outside `twistlab.gf` and `twistlab.gfkernels`.
+    `_dlog_steps` keeps the baby-step table of each prime `_subgroup_log`
+    has met, and `_trace_form` the digits of the trace form.
     """
 
     __slots__ = (
-        "p", "n", "q", "modulus", "_zero", "_one", "_elements",
-        "_generator", "_unit_factors", "_embed_cache", "_dlog_steps",
-        "_trace_form", "_add", "_sub", "_neg", "_mul", "_inv", "_pow",
-        "_radix", "_pack", "_unpack",
+        "p", "n", "q", "modulus", "_zero", "_one", "_generator",
+        "_unit_factors", "_embed_cache", "_dlog_steps", "_trace_form",
+        "_add", "_sub", "_neg", "_mul", "_inv", "_pow", "_radix",
     )
 
     def __init__(self, p, n, modulus):
@@ -228,7 +234,6 @@ class FieldCtx:
         self.modulus = modulus
         self._zero = FieldElem(self, 0)
         self._one = FieldElem(self, 1)
-        self._elements = None
         self._generator = None
         self._unit_factors = None
         self._embed_cache = {}
@@ -277,7 +282,7 @@ class FieldCtx:
         """Element whose coefficient vector is the base-p expansion of k."""
         if not 0 <= k < self.q:
             raise ValueError(f"canonical index {k} out of range for {self}")
-        return FieldElem(self, self._pack(k))
+        return FieldElem(self, _from_digits(_digits(k, self.p, self.n), self._radix))
 
 
 class FieldElem:
@@ -300,7 +305,8 @@ class FieldElem:
     @property
     def canon(self):
         """Coefficient vector read as a base-p integer (the canonical order)."""
-        return self.ctx._unpack(self.v)
+        ctx = self.ctx
+        return _from_digits(_digits(self.v, ctx._radix, ctx.n), ctx.p)
 
     @property
     def coeffs(self):
@@ -421,25 +427,26 @@ class FieldElem:
         return element_to_str(self)
 
 
-def _check_walk(ctx):
-    """Raise LimitExceededError unless a walk of all q elements of ctx is
-    within the working limit; checked before every such walk."""
+def _check_walk(count, what):
+    """Raise LimitExceededError, saying `what` and then "over the limit",
+    when a step that walks or holds `count` elements passes the working
+    limit; checked before every such step starts."""
     limit = working_limit()
-    if ctx.q > limit:
-        raise LimitExceededError(f"enumerating {ctx} walks {ctx.q} elements, "
-                                 f"over the limit {limit}")
+    if count > limit:
+        raise LimitExceededError(f"{what}, over the limit {limit}")
+
+
+def _field_walk(ctx):
+    """Every element of ctx in canonical order, one at a time: a walk of
+    q elements, held to the limit before it starts."""
+    _check_walk(ctx.q, f"enumerating {ctx} walks {ctx.q} elements")
+    return map(ctx.from_canon, range(ctx.q))
 
 
 def enumerate_field(ctx):
-    """All elements of ctx in canonical order, as a list of `FieldElem`s.
-
-    A walk of q elements (`_check_walk`); the first call also builds the
-    element list, which is kept.
-    """
-    _check_walk(ctx)
-    if ctx._elements is None:
-        ctx._elements = [FieldElem(ctx, v) for v in map(ctx._pack, range(ctx.q))]
-    return list(ctx._elements)
+    """All elements of ctx in canonical order, as a new list of
+    `FieldElem`s: the walk of `_field_walk`."""
+    return list(_field_walk(ctx))
 
 
 def frobenius(e, k=1):
@@ -457,10 +464,10 @@ def generator(ctx):
     exponents = [qm1 // ell for ell in ctx._unit_factors]
     power = ctx._pow
     # constants have order | p - 1
-    for v in map(ctx._pack, range(ctx.p if ctx.n > 1 else 1, ctx.q)):
-        if all(power(v, x) != 1 for x in exponents):
-            ctx._generator = FieldElem(ctx, v)
-            return ctx._generator
+    for e in map(ctx.from_canon, range(ctx.p if ctx.n > 1 else 1, ctx.q)):
+        if all(power(e.v, x) != 1 for x in exponents):
+            ctx._generator = e
+            return e
     raise RuntimeError(f"no generator found in {ctx}")  # unreachable
 
 
@@ -607,7 +614,7 @@ class Echelon:
                 self.kernel.append(pre)
         self.rows = [(w,) + pivots[w] for w in sorted(pivots, reverse=True)]
 
-    def _packed(self, e):
+    def _value(self, e):
         """e's packed value; e must be an element of this field."""
         if e.ctx is not self.ctx:
             raise ValueError(f"mixed fields: {self.ctx} and {e.ctx}")
@@ -621,7 +628,7 @@ class Echelon:
         image leads at a pivot, so the one element of e's coset that is
         zero at all pivots is its least.
         """
-        ctx, v = self.ctx, self._packed(e)
+        ctx, v = self.ctx, self._value(e)
         radix, add, sub, x = ctx._radix, ctx._add, ctx._sub, 0
         for w, imgs, pres in self.rows:
             d = v // w % radix
@@ -637,7 +644,7 @@ class Echelon:
         after that.
         """
         ctx = self.ctx
-        add, mul, out = ctx._add, ctx._mul, [self._packed(x)]
+        add, mul, out = ctx._add, ctx._mul, [self._value(x)]
         for k in self.kernel:
             multiples = [mul(d, k) for d in range(ctx.p)]
             out = [add(y, dk) for y in out for dk in multiples]
@@ -680,7 +687,7 @@ def linearized_roots(a, rhs, k=1):
 
 
 def _trace_form(ctx):
-    """The canonical int whose base-p digits are Tr(x^i), i < n (cached).
+    """The digits Tr(x^i), i < n, of the trace form, as a tuple (cached).
 
     Tr(x^i) is the i-th power sum of the roots of the monic modulus f,
     which Newton's identities give from f's coefficients alone: Tr(1) = n
@@ -695,26 +702,14 @@ def _trace_form(ctx):
         for k in range(1, n):
             s = k * f[n - k] + sum(f[n - j] * sums[k - j] for j in range(1, k))
             sums.append(-s % p)
-        form = ctx._trace_form = _from_digits(sums, p)
+        form = ctx._trace_form = tuple(sums)
     return form
 
 
 def absolute_trace(e):
-    """Trace from GF(p^n) down to GF(p), returned as an int in [0, p).
-
-    The sum of e's digits times those of the trace form, mod p; for p = 2
-    the parity of the bits e shares with it.
-    """
-    ctx = e.ctx
-    p, v, form = ctx.p, e.canon, _trace_form(ctx)
-    if p == 2:
-        return (v & form).bit_count() & 1
-    acc = 0
-    while v:
-        v, d = divmod(v, p)
-        form, t = divmod(form, p)
-        acc += d * t
-    return acc % p
+    """Trace from GF(p^n) down to GF(p), returned as an int in [0, p):
+    the dot product of e's digits with those of the trace form, mod p."""
+    return sum(map(operator.mul, e.coeffs, _trace_form(e.ctx))) % e.ctx.p
 
 
 def subfield_embed(e, super_ctx):
@@ -750,10 +745,7 @@ def _embedding_root(sub, super_ctx):
     """Canonically smallest root of sub's modulus inside super_ctx: the
     first one met on an ascending walk of the copy of sub, the kernel of
     x^(p^m) - x for m = sub.n."""
-    limit = working_limit()
-    if sub.q > limit:
-        raise LimitExceededError(f"embedding {sub} into {super_ctx} walks "
-                                 f"{sub.q} elements, over the limit {limit}")
+    _check_walk(sub.q, f"embedding {sub} into {super_ctx} walks {sub.q} elements")
     for x in linearized_roots(super_ctx.scalar(-1), super_ctx.zero, k=sub.n):
         acc = super_ctx.zero
         for c in reversed(sub.modulus):

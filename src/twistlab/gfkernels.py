@@ -1,31 +1,19 @@
 """Kernels behind `twistlab.gf`, one set per kind of field.
 
 Each `*_kernels(ctx)` function fills a context's element kernels `_add`,
-`_sub`, `_neg`, `_mul`, `_inv` and `_pow`, which work on the values that
-`FieldElem`s store, and its encoding: `_radix`, `_pack` and `_unpack`
-(see `gf.FieldCtx`).  Only `twistlab.gf` calls them.  The module
-docstring of `twistlab.gf` describes the encoding and when each set is
-used.
+`_sub`, `_neg`, `_mul`, `_inv` and `_pow`, which work on the packed values
+that `FieldElem`s store, and its `_radix`, the radix of the packed digits
+(see `gf.FieldCtx`).  This module holds packed arithmetic only: it never
+sees a canonical index, which `twistlab.gf` alone converts.  Only
+`twistlab.gf` calls these functions.  The module docstring of
+`twistlab.gf` describes the encoding and when each set is used.
 """
-
-
-def _square_and_multiply(mul):
-    def power(a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = mul(r, a)
-            e >>= 1
-            if e:
-                a = mul(a, a)
-        return r
-    return power
 
 
 def prime_kernels(ctx):
     """Native int arithmetic mod p; an element is its residue."""
     p = ctx.p
-    ctx._radix, ctx._pack, ctx._unpack = p, int, int
+    ctx._radix = p
     ctx._add = lambda a, b: (a + b) % p
     ctx._sub = lambda a, b: (a - b) % p
     ctx._neg = lambda a: -a % p
@@ -48,9 +36,6 @@ def packed_kernels(ctx):
     neighbours.  A sum is one slot-wise add and the same reduction (XOR
     for p = 2); a difference adds p to every slot first.  A constant
     packs to itself, and a constant base takes the built-in `pow`.
-
-    `_pack` and `_unpack` convert canonical ints, c digits at a time
-    through two p^c-entry lookups built on first use.
     """
     p, n = ctx.p, ctx.n
     g = [(-c) % p for c in ctx.modulus[:n]]
@@ -85,51 +70,20 @@ def packed_kernels(ctx):
         # reduce(s), written out: a call would cost about a tenth of a product
         return s - (((s * m) >> k) & quotient_mask) * p
 
-    power = _square_and_multiply(mul)
+    def power(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return r
 
     def pow_(a, e):
         if a < p:
             return pow(a, e, p)
         return power(a, e)
-
-    c = 1
-    while c < n and p ** (c + 1) <= 256:
-        c += 1
-    chunk, chunk_bits = p**c, w * c
-    chunk_mask = (1 << chunk_bits) - 1
-    spread = gather = None
-
-    def build_tables():
-        """spread[d] is the chunk of c digits d packed, gather its inverse.
-        Built on first use: a rejected modulus candidate never converts."""
-        nonlocal spread, gather
-        if c == 1:  # a digit packs to itself, and p may be large
-            spread = gather = range(p)
-            return
-        spread = [0]
-        for i in range(c):
-            spread = [s + (d << (w * i)) for d in range(p) for s in spread]
-        gather = {s: v for v, s in enumerate(spread)}
-
-    def pack(v):
-        if spread is None:
-            build_tables()
-        s, shift = 0, 0
-        while v:
-            v, d = divmod(v, chunk)
-            s |= spread[d] << shift
-            shift += chunk_bits
-        return s
-
-    def unpack(s):
-        if gather is None:
-            build_tables()
-        v, place = 0, 1
-        while s:
-            v += gather[s & chunk_mask] * place
-            s >>= chunk_bits
-            place *= chunk
-        return v
 
     qm2 = ctx.q - 2
     if p == 2:
@@ -143,5 +97,5 @@ def packed_kernels(ctx):
     ctx._mul = mul
     ctx._inv = lambda a: power(a, qm2)
     ctx._pow = pow_
-    ctx._radix, ctx._pack, ctx._unpack = 1 << w, pack, unpack
+    ctx._radix = 1 << w
 

@@ -199,12 +199,21 @@ def _labels(E, base, group, classes, degrees, reps):
     least of them: only the cores that tie on the least u are composed.
     That psi is `autmap.find_isomorphisms(E, T, ext)[0]`.  The label
     (Fr(psi))^-1 o psi, with Fr(psi) checked by `autmap.galois_apply`,
-    is looked up in the automorphism group; when psi's field is not a
-    subfield of the group's, the group's parameters are embedded into the
-    common extension once per call and field.  That is the label the
-    golden files pin, not the cocycle value psi^-1 o Fr(psi); see the
-    module docstring.  Labels are yielded one twist at a time, so a fault
-    names the first twist that has one.
+    is looked up in the automorphism group over the common extension
+    comp of psi's field and the group's, whose parameters are embedded
+    into comp once per call and field.  That is the label the golden
+    files pin, not the cocycle value psi^-1 o Fr(psi); see the module
+    docstring.
+
+    `gf.subfield_embed` does not commute along towers, so the paths from
+    the base through psi's field and through the group's field can embed
+    the base into comp differently: they differ by Fr_p^k, k from
+    `_frobenius_shift`, and the label, an automorphism of E embedded one
+    way, is moved by Fr_p^-k onto E embedded the other.  Each valid k is
+    the least one times a power of Fr_q, and Fr_q(t) lies in the twisted
+    class of t, so the class does not depend on the k taken.  Labels are
+    yielded one twist at a time, so a fault names the first twist that
+    has one.
     """
     red = autmap.reduction_isomorphism(E)
     exts = []
@@ -213,7 +222,7 @@ def _labels(E, base, group, classes, degrees, reps):
         exts.append((d, ext, E.base_change(ext), red.target.base_change(ext),
                      tuple(gf.subfield_embed(x, ext) for x in red.params)))
     class_of = {i: cls for cls in classes for i in cls.indices}
-    tables = {}
+    tables, shifts = {group.field: group._index}, {}
     for T in reps:
         for d, ext, S, R, red_params in exts:
             T_ext = T.base_change(ext)
@@ -229,15 +238,17 @@ def _labels(E, base, group, classes, degrees, reps):
             autmap._compose_params(c, red_params)
             for c, u in zip(cores, units) if u == least))
         phi = autmap.compose(autmap.invert(autmap.galois_apply(psi, base)), psi)
-        comp = gf.field_create(base.p, math.lcm(ext.n, group.field.n))
+        if ext not in shifts:
+            comp = gf.field_create(base.p, math.lcm(ext.n, group.field.n))
+            shifts[ext] = comp, -_frobenius_shift(base, group.field, ext, comp) % comp.n
+        comp, back = shifts[ext]
         key = tuple(gf.subfield_embed(x, comp) for x in phi.params)
-        if comp is group.field:
-            index = group.index_of_params(key)
-        else:
-            if comp not in tables:
-                tables[comp] = {tuple(gf.subfield_embed(x, comp) for x in g.params): k
-                                for k, g in enumerate(group.elements)}
-            index = tables[comp].get(key)
+        if back:
+            key = tuple(gf.frobenius(x, back) for x in key)
+        if comp not in tables:
+            tables[comp] = {tuple(gf.subfield_embed(x, comp) for x in g.params): k
+                            for k, g in enumerate(group.elements)}
+        index = tables[comp].get(key)
         if index is None:
             raise autmap._fault(E, base, "labelling twists",
                                 "twist label is not an automorphism of the source")
@@ -245,6 +256,22 @@ def _labels(E, base, group, classes, degrees, reps):
             raise autmap._fault(E, base, "labelling twists",
                                 "automorphism missing from the class partition")
         yield T, class_of[index], d
+
+
+def _frobenius_shift(base, left, right, comp):
+    """The least k with Fr_p^k o iota_left = iota_right on `base`, where
+    iota_f embeds the base into comp through the field f.
+
+    Both embed the base's generator as a root of its modulus, and the
+    roots are its conjugates under Fr_p, so k < base.n.
+    """
+    g = base.gen()
+    x, target = (gf.subfield_embed(gf.subfield_embed(g, f), comp) for f in (left, right))
+    for k in range(base.n):
+        if x == target:
+            return k
+        x = gf.frobenius(x)
+    raise RuntimeError(f"no Frobenius power aligns {left} and {right} in {comp}")  # unreachable
 
 
 def enumerate_twists(E, base):

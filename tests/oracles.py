@@ -318,8 +318,12 @@ def label_oracle(E, T, base, group, classes, degrees):
     `find_isomorphisms(E, T, ext)` finds a map, psi is the first map it
     finds, and (Fr(psi))^-1 o psi is located by a scan of the automorphism
     group, each element embedded into a common extension with psi's
-    field.  The class is None when no element matches, and both are None
-    when no listed degree has a map.
+    field.  The base reaches that extension through psi's field and
+    through the group's, and the two embeddings may differ by a power of
+    the p-power Frobenius; the label's parameters are moved back by that
+    power, found by applying Frobenius to the base generator's image
+    until the images agree, before the scan.  The class is None when no
+    element matches, and both are None when no listed degree has a map.
     """
     for d in degrees:
         isos = find_isomorphisms(E, T, gf.field_create(base.p, base.n * d))
@@ -330,7 +334,11 @@ def label_oracle(E, T, base, group, classes, degrees):
     psi = isos[0]
     phi = compose(invert(galois_apply(psi, base)), psi)
     comp = gf.field_create(base.p, math.lcm(phi.field.n, group.field.n))
-    key = embed_isomorphism(phi, comp).params
+    via_group, via_psi = (gf.subfield_embed(gf.subfield_embed(base.gen(), f), comp)
+                          for f in (group.field, phi.field))
+    shift = next(k for k in range(base.n) if gf.frobenius(via_group, k) == via_psi)
+    key = tuple(gf.frobenius(x, comp.n - shift)
+                for x in embed_isomorphism(phi, comp).params)
     index = next((k for k, g in enumerate(group.elements)
                   if embed_isomorphism(g, comp).params == key), None)
     return next((cls for cls in classes if index in cls.indices), None), d
